@@ -32,25 +32,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_config(path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+def _read_config(path) -> dict[str, tuple[str, str]]:
+    """Map each key of a key=value file to its value and its ``path:line``."""
+    values: dict[str, tuple[str, str]] = {}
+    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise UsageError(f"config line must be key=value, got {line!r}")
+            raise UsageError(f"{path}:{i}: config line must be key=value, got {line!r}")
         key, val = stripped.split("=", 1)
-        values[key.strip()] = val.strip()
+        values[key.strip()] = (val.strip(), f"{path}:{i}")
     return values
 
 
-def _resolve(args, cfg: dict[str, str], name: str, default, cast):
+def _cast(cast, key: str, value: str, where: str):
+    try:
+        return cast(value)
+    except ValueError:
+        raise UsageError(
+            f"{where}: {key}={value!r} is not a valid {cast.__name__}"
+        ) from None
+
+
+def _resolve(args, cfg: dict[str, tuple[str, str]], name: str, default, cast):
     value = getattr(args, name, None)
     if value is not None:
         return value
     if name in cfg:
-        return cast(cfg[name])
+        return _cast(cast, name, *cfg[name])
     return default
 
 
@@ -216,9 +226,9 @@ def cmd_postprocess(args, cfg) -> int:
 
 def _parse_grid(path) -> dict[str, list]:
     grid: dict[str, list] = {}
-    for key, values in _read_config(path).items():
+    for key, (values, where) in _read_config(path).items():
         cast = int if key == "filter_len" else float
-        grid[key] = [cast(v) for v in values.split(",") if v.strip()]
+        grid[key] = [_cast(cast, key, v, where) for v in values.split(",") if v.strip()]
     return grid
 
 

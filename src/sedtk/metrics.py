@@ -17,6 +17,7 @@ area divided by max_fpr). The macro average over classes is mpAUC.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -159,6 +160,88 @@ def intersection_match(
     return counts
 
 
+def _reach(t: Event, valid: Sequence[tuple[float, Event]], rho_gtc: float) -> float:
+    """Highest confidence at which the valid detections at or above it cover
+    rho_gtc of ``t``; -inf when no threshold makes ``t`` a true positive.
+
+    Overlaps are summed in list order, as ``intersection_match`` sums them,
+    so the verdict at each threshold is bit-identical to it. Adding a
+    nonnegative term never lowers a rounded sum, so coverage only grows as
+    the threshold falls and the first level that passes is the answer.
+    """
+    hits = [
+        (conf, ov)
+        for conf, d in valid
+        if (ov := _overlap(d.onset_s, d.offset_s, t.onset_s, t.offset_s)) > 0
+    ]
+    for level in sorted({conf for conf, _ in hits}, reverse=True):
+        inter = sum(ov for conf, ov in hits if conf >= level)
+        if inter / t.duration_s >= rho_gtc:
+            return level
+    return -math.inf
+
+
+def _count_at_or_above(values: list[float], thresholds: np.ndarray) -> np.ndarray:
+    return len(values) - np.searchsorted(np.sort(values), thresholds, side="left")
+
+
+def _scored_counts(
+    scored: Sequence[tuple[float, Event]], truth: Sequence[Event], cfg: PsdsConfig
+) -> list[dict[str, tuple[int, int]]]:
+    """``intersection_match`` counts at every threshold from one matching pass.
+
+    A detection's dtc validity and a truth event's reach confidence do not
+    depend on the threshold; at threshold tau the invalid detections with
+    confidence >= tau are the false positives and the truth events whose
+    reach is >= tau the true positives.
+    """
+    dets_by: dict[tuple[str, str], list[tuple[float, Event]]] = {}
+    truth_by: dict[tuple[str, str], list[Event]] = {}
+    for conf, e in scored:
+        dets_by.setdefault((e.clip_id, e.class_name), []).append((conf, e))
+    for e in truth:
+        truth_by.setdefault((e.clip_id, e.class_name), []).append(e)
+
+    fp_confs: dict[str, list[float]] = {}
+    reach: dict[str, list[float]] = {}
+    for key in dets_by.keys() | truth_by.keys():
+        cls = key[1]
+        t_list = truth_by.get(key, [])
+        valid = []
+        for conf, d in dets_by.get(key, []):
+            inter = sum(
+                _overlap(d.onset_s, d.offset_s, t.onset_s, t.offset_s) for t in t_list
+            )
+            if inter / d.duration_s >= cfg.rho_dtc:
+                valid.append((conf, d))
+            else:
+                fp_confs.setdefault(cls, []).append(conf)
+        reach.setdefault(cls, []).extend(_reach(t, valid, cfg.rho_gtc) for t in t_list)
+
+    thresholds = np.asarray(cfg.thresholds, dtype=np.float64)
+    per_class = {
+        cls: (
+            _count_at_or_above(reach.get(cls, []), thresholds).tolist(),
+            _count_at_or_above(fp_confs.get(cls, []), thresholds).tolist(),
+        )
+        for cls in reach.keys() | fp_confs.keys()
+    }
+    return [
+        {cls: (tp[i], fp[i]) for cls, (tp, fp) in per_class.items()}
+        for i in range(thresholds.size)
+    ]
+
+
+def _is_scored(items: list) -> bool:
+    first = items[0] if items else None
+    return (
+        isinstance(first, tuple)
+        and len(first) == 2
+        and isinstance(first[0], numbers.Real)
+        and isinstance(first[1], Event)
+    )
+
+
 def psd_roc(
     detections,
     truth: AnnotationSet,
@@ -167,9 +250,15 @@ def psd_roc(
 ) -> list[tuple[float, float]]:
     """Operating points over the threshold sweep, as a monotone staircase.
 
-    ``detections`` is either a callable mapping a threshold to an event
-    list, or a sequence of event lists aligned with cfg.thresholds. The
-    TPR mean/std run over ``classes`` (default: classes present in the
+    ``detections`` takes one of three forms:
+
+    - a sequence of ``(confidence, Event)`` pairs. The detections at
+      threshold tau are the events with confidence >= tau, and every
+      threshold is scored from one matching pass;
+    - a callable mapping a threshold to an event list;
+    - a sequence of event lists aligned with cfg.thresholds.
+
+    The TPR mean/std run over ``classes`` (default: classes present in the
     truth events); a listed class with zero truth events is excluded with
     a warning. False positives of every class count toward the per-hour
     rate, normalized by the total annotated audio duration.
@@ -191,14 +280,20 @@ def psd_roc(
         )
     eval_classes = [c for c in eval_classes if n_truth[c] > 0]
 
+    def match(dets):
+        return intersection_match(dets, truth.events, cfg.rho_dtc, cfg.rho_gtc)
+
     if callable(detections):
-        det_lists = [detections(t) for t in cfg.thresholds]
+        per_threshold = (match(detections(t)) for t in cfg.thresholds)
     else:
-        det_lists = list(detections)
+        detections = list(detections)
+        if _is_scored(detections):
+            per_threshold = _scored_counts(detections, truth.events, cfg)
+        else:
+            per_threshold = (match(dets) for dets in detections)
 
     points = []
-    for dets in det_lists:
-        counts = intersection_match(dets, truth.events, cfg.rho_dtc, cfg.rho_gtc)
+    for counts in per_threshold:
         fp_total = sum(fp for _, fp in counts.values())
         efpr = fp_total / hours
         if eval_classes:

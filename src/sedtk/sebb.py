@@ -126,9 +126,9 @@ def delta_scores(track_row, filter_len: int) -> np.ndarray:
 def _boundaries(delta: np.ndarray, threshold: float):
     """Onset/offset frame candidates: delta extrema beyond +/- threshold."""
     peaks, _ = find_peaks(delta)
-    onsets = [int(p) for p in peaks if delta[p] > threshold]
     troughs, _ = find_peaks(-delta)
-    offsets = [int(p) for p in troughs if delta[p] < -threshold]
+    onsets = peaks[delta[peaks] > threshold].tolist()
+    offsets = troughs[delta[troughs] < -threshold].tolist()
     return onsets, offsets
 
 
@@ -291,25 +291,6 @@ def threshold_events(
     return kept
 
 
-def sebbs_to_events(
-    sebbs_by_clip: Mapping[str, Sequence[SEBB]], threshold: float
-) -> list[Event]:
-    """Flatten per-clip candidates into the events surviving one threshold."""
-    events = []
-    for clip_id in sorted(sebbs_by_clip):
-        for s in sebbs_by_clip[clip_id]:
-            if s.confidence >= threshold:
-                events.append(
-                    Event(
-                        clip_id=clip_id,
-                        class_name=s.class_name,
-                        onset_s=s.onset_s,
-                        offset_s=s.offset_s,
-                    )
-                )
-    return events
-
-
 def tune_csebb(
     tracks: Sequence[ScoreTrack],
     truth: AnnotationSet,
@@ -351,9 +332,12 @@ def tune_csebb(
             boundary_threshold=bt,
         )
         sebbs_by_clip = {tr.clip_id: detect_sebbs(tr, cfg) for tr in tracks}
-        curve = psd_roc(
-            lambda tau: sebbs_to_events(sebbs_by_clip, tau), truth, psds_config
-        )
+        scored = [
+            (s.confidence, Event(clip_id, s.class_name, s.onset_s, s.offset_s))
+            for clip_id, found in sebbs_by_clip.items()
+            for s in found
+        ]
+        curve = psd_roc(scored, truth, psds_config)
         value = psds(curve, psds_config)
         if best is None or value > best[0] + 1e-12:
             best = (value, cfg)

@@ -215,3 +215,36 @@ class TestPostprocessAndTune:
             "--config", str(out),
         ]) == 0
         assert "dog" in events_out.read_text()
+
+    @pytest.mark.parametrize(
+        "command, flag, text, line",
+        [
+            ("tune-sebb", "--grid", "filter_len=abc\n", 1),
+            ("tune-sebb", "--grid", "filter_len=5,21\nboundary_threshold=0.1,x\n", 2),
+            ("tune-sebb", "--grid", "filter_len=5.0\n", 1),
+            ("postprocess", "--config", "# tuned\nfilter_len=abc\n", 2),
+            ("postprocess", "--config", "filter_len=5\nthreshold=high\n", 2),
+            ("postprocess", "--config", "filter_len 5\n", 1),
+        ],
+    )
+    def test_bad_file_value_is_usage_error(
+        self, tmp_path, capsys, command, flag, text, line
+    ):
+        scores = self._scores_fixture(tmp_path)
+        truth, durs = tmp_path / "truth.tsv", tmp_path / "durs.tsv"
+        write_events([Event("a", "dog", 40 * 0.02, 120 * 0.02)], truth)
+        write_durations({"a": 4.0}, durs)
+        values = tmp_path / "values.cfg"
+        values.write_text(text)
+        argv = {
+            "tune-sebb": ["tune-sebb", "--scores", str(scores), "--truth", str(truth),
+                          "--durations", str(durs)],
+            "postprocess": ["postprocess", "--scores", str(scores),
+                            "--out", str(tmp_path / "ev.tsv")],
+        }[command]
+        code = run(argv + [flag, str(values)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"usage error: {values}:{line}:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

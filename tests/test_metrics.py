@@ -1,7 +1,11 @@
 """Intersection matching, PSDS staircases, segment labels, partial AUC."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sedtk.errors import (
     DegenerateClassWarning,
@@ -171,6 +175,69 @@ class TestPsdRoc:
         truth = AnnotationSet(events=[Event("a", "dog", 0.0, 1.0)])
         with pytest.raises(InvalidParameterError):
             psd_roc([[]], truth)
+
+
+_THRESHOLDS = (0.2, 0.4, 0.6, 0.8)
+_DEFAULT_THRESHOLDS = PsdsConfig().thresholds
+_DURATIONS = {"a": 30.0, "b": 45.0, "c": 60.0}
+
+
+def _event(classes):
+    # Half-second grid onsets give exact ties and shared edges; free floats
+    # give overlap sums that round.
+    onset = st.one_of(st.integers(0, 40).map(lambda k: k * 0.5), st.floats(0.0, 20.0))
+    length = st.one_of(st.integers(1, 12).map(lambda k: k * 0.5), st.floats(0.05, 6.0))
+    return st.builds(
+        lambda clip, cls, on, dur: Event(clip, cls, on, on + dur),
+        st.sampled_from(sorted(_DURATIONS)), st.sampled_from(classes), onset, length,
+    )
+
+
+_CONFIDENCE = st.one_of(
+    st.sampled_from(_THRESHOLDS + _DEFAULT_THRESHOLDS[:3] + (0.0, 1.0)),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def _scored_case(draw):
+    truth_events = draw(st.lists(_event(("dog", "cat")), max_size=8))
+    # "bird" has detections but no truth: every bird detection is an FP.
+    scored = draw(st.lists(st.tuples(_CONFIDENCE, _event(("dog", "cat", "bird"))), max_size=10))
+    copies = truth_events + [e for _, e in scored]
+    if copies:  # exact copies of truth and duplicate detections
+        scored += draw(st.lists(st.tuples(_CONFIDENCE, st.sampled_from(copies)), max_size=6))
+    scored = draw(st.permutations(scored))
+    classes = draw(st.sampled_from([None, ["dog", "cat"], ["dog", "cat", "lion"], ["cat"]]))
+    cfg = PsdsConfig(
+        rho_dtc=draw(st.sampled_from([0.5, 0.7, 1.0])),
+        rho_gtc=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        alpha_st=draw(st.sampled_from([0.0, 1.0])),
+        thresholds=draw(st.sampled_from([_THRESHOLDS, _DEFAULT_THRESHOLDS])),
+    )
+    return truth_events, scored, classes, cfg
+
+
+def _curve_and_warnings(detections, truth, cfg, classes):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = psd_roc(detections, truth, cfg, classes)
+    return curve, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scored_case())
+@example(([Event("a", "dog", 1.0, 2.0)], [], None, PsdsConfig()))
+@example(([Event("a", "dog", 1.0, 2.0)], [(0.5, Event("a", "dog", 1.0, 2.0))],
+          ["dog", "lion"], PsdsConfig(thresholds=(0.5,))))
+def test_scored_sweep_equals_per_threshold_matching(case):
+    truth_events, scored, classes, cfg = case
+    truth = AnnotationSet(events=truth_events, clip_durations=_DURATIONS)
+    fast = _curve_and_warnings(scored, truth, cfg, classes)
+    slow = _curve_and_warnings(
+        lambda tau: [e for c, e in scored if c >= tau], truth, cfg, classes
+    )
+    assert fast == slow
 
 
 class TestPsds:

@@ -20,7 +20,6 @@ from sedtk.sebb import (
     detect_candidates,
     detect_sebbs,
     merge_gaps,
-    sebbs_to_events,
     threshold_events,
     tune_csebb,
 )
@@ -325,9 +324,14 @@ class TestTuneCsebb:
         tracks, truth = self._fixture()
         grid = {"filter_len": [5, 21], "boundary_threshold": [0.1, 0.4]}
         best = tune_csebb(tracks, truth, grid)
-        sebbs = {t.clip_id: detect_sebbs(t, best) for t in tracks}
+        boxes = [(t.clip_id, detect_sebbs(t, best)) for t in tracks]
         cfg = PsdsConfig()
-        value = psds(psd_roc(lambda tau: sebbs_to_events(sebbs, tau), truth, cfg), cfg)
+        per_threshold = [
+            [Event(clip, s.class_name, s.onset_s, s.offset_s)
+             for clip, found in boxes for s in found if s.confidence >= tau]
+            for tau in cfg.thresholds
+        ]
+        value = psds(psd_roc(per_threshold, truth, cfg), cfg)
         assert value == pytest.approx(1.0)
 
     def test_deterministic(self):
