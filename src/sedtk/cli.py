@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import dataio, metrics, mixstyle, sebb, stats
 from .core import DomainTag, RandomSource, make_batch, read_fmt, write_fmt
-from .errors import SedtkError, UsageError
+from .errors import ParseError, SedtkError, UsageError
 from .frontend import MelConfig, log_mel, read_wav, resample_to_mono_16k
 
 
@@ -140,6 +140,11 @@ def cmd_features(args, cfg) -> int:
     n_mels = _resolve(args, cfg, "n_mels", 128, int)
     pad_seconds = _resolve(args, cfg, "pad_seconds", 10.0, float)
     domain = _resolve(args, cfg, "domain", "desed", str)
+    tag = DomainTag.__members__.get(domain.upper())
+    if tag is None:  # argparse limits --domain, so the value came from --config
+        raise UsageError(
+            f"{cfg['domain'][1]}: domain={domain!r} is not one of desed, maestro"
+        )
     _log_config("features", {
         "in": args.in_dir, "out": args.out, "n_mels": n_mels,
         "pad_seconds": pad_seconds, "domain": domain, "seed": args.seed,
@@ -152,7 +157,6 @@ def cmd_features(args, cfg) -> int:
     for wav in wavs:
         clip = resample_to_mono_16k(read_wav(wav))
         maps.append(log_mel(clip, mel_cfg))
-    tag = DomainTag[domain.upper()]
     batch = make_batch(maps, [tag] * len(maps))
     write_fmt(batch, args.out)
     print(f"wrote {len(maps)} feature maps to {args.out}", file=sys.stderr)
@@ -207,11 +211,15 @@ def cmd_postprocess(args, cfg) -> int:
     })
     thresholds: dict[str, float] = {}
     if args.thresholds_file:
-        for line in Path(args.thresholds_file).read_text(encoding="utf-8").splitlines():
+        text = Path(args.thresholds_file).read_text(encoding="utf-8")
+        for i, line in enumerate(text.splitlines(), 1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
+            where = f"{args.thresholds_file}:{i}"
+            if line.count("\t") != 1:
+                raise UsageError(f"{where}: expected class<TAB>threshold, got {line!r}")
             cls, value = line.split("\t")
-            thresholds[cls] = float(value)
+            thresholds[cls] = _cast(float, cls, value, where)
     tracks = dataio.read_scores(args.scores)
     events = []
     for tr in tracks:
@@ -256,6 +264,15 @@ def cmd_tune_sebb(args, cfg) -> int:
     return 0
 
 
+def _read_score_rows(path) -> list[sebb.ScoreTrack]:
+    """``dataio.read_scores`` for a file that must hold at least one row."""
+    tracks = dataio.read_scores(path)
+    if not tracks:
+        n_lines = len(Path(path).read_text(encoding="utf-8").splitlines())
+        raise ParseError("no score rows after the header", path=path, line=n_lines)
+    return tracks
+
+
 def cmd_evaluate(args, cfg) -> int:
     max_fpr = _resolve(args, cfg, "max_fpr", 0.1, float)
     _log_config("evaluate", {
@@ -286,8 +303,8 @@ def cmd_evaluate(args, cfg) -> int:
     if args.mpauc:
         if not (args.segscores and args.segtruth):
             raise UsageError("--mpauc needs --segscores and --segtruth")
-        score_tracks = dataio.read_scores(args.segscores)
-        truth_tracks = dataio.read_scores(args.segtruth)
+        score_tracks = _read_score_rows(args.segscores)
+        truth_tracks = _read_score_rows(args.segtruth)
         seg_scores = {}
         for tr in score_tracks:
             for k, cls in enumerate(tr.class_names):

@@ -161,7 +161,9 @@ def read_scores(path) -> list[ScoreTrack]:
 
     Layout: a ``# hop_seconds=<v>`` comment line, a header
     ``clip_id,frame,<class...>``, then one row per (clip, frame) with the
-    frames of each clip contiguous from 0.
+    frames of each clip contiguous from 0. A clip's rows may come in
+    several blocks as long as its frame numbers continue across them.
+    Tracks are returned in the order of each clip's first row.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     hop = None
@@ -185,10 +187,61 @@ def read_scores(path) -> list[ScoreTrack]:
             path=path, line=header_idx + 1,
         )
     class_names = tuple(header[2:])
+    body = lines[header_idx + 1 :]
+    tracks = _score_columns(body, hop, class_names)
+    if tracks is None:
+        tracks = _score_lines(body, header_idx + 2, path, hop, class_names)
+    return tracks
 
+
+def _score_columns(body, hop: float, class_names) -> list[ScoreTrack] | None:
+    """Score-CSV body parsed as columns in one numpy pass.
+
+    Returns None, for ``_score_lines`` to raise the line-numbered error or
+    to accept what numpy's stricter number syntax refused, unless every row
+    has 2 + K fields, an integer frame and K scores in [0, 1], and every
+    clip's frames run 0..n-1 in a single block of rows.
+    """
+    rows = [line.partition(",") for line in body if line.strip()]
+    if not rows:
+        return []
+    clips = [clip for clip, _, _ in rows]
+    rests = [rest for _, _, rest in rows]
+    if not all(rests):  # loadtxt would skip an empty line (or warn on no data)
+        return None
+    dtype = [("frame", np.int64), ("scores", np.float64, (len(class_names),))]
+    try:
+        table = np.loadtxt(rests, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    bounds = [0]
+    bounds += [i for i in range(1, len(clips)) if clips[i] != clips[i - 1]]
+    bounds.append(len(clips))
+    run_clips = [clips[s] for s in bounds[:-1]]
+    if len(set(run_clips)) != len(run_clips):
+        return None
+    starts = np.repeat(bounds[:-1], np.diff(bounds))
+    if not np.array_equal(table["frame"], np.arange(len(clips)) - starts):
+        return None
+    scores = table["scores"]
+    if not (scores.min() >= 0.0 and scores.max() <= 1.0):  # False for NaN
+        return None
+    return [
+        ScoreTrack(
+            scores=scores[start:stop].T,
+            hop_seconds=hop,
+            class_names=class_names,
+            clip_id=clip,
+        )
+        for clip, start, stop in zip(run_clips, bounds, bounds[1:])
+    ]
+
+
+def _score_lines(body, first_line: int, path, hop: float, class_names) -> list[ScoreTrack]:
+    """Score-CSV body parsed line by line, raising at the first bad line."""
     rows: dict[str, list[tuple[int, list[float]]]] = {}
     order: list[str] = []
-    for i, line in enumerate(lines[header_idx + 1 :], start=header_idx + 2):
+    for i, line in enumerate(body, start=first_line):
         if not line.strip():
             continue
         parts = line.split(",")

@@ -112,14 +112,24 @@ def delta_scores(track_row, filter_len: int) -> np.ndarray:
             f"filter_len must be odd and >= 3, got {filter_len}"
         )
     row = np.asarray(track_row, dtype=np.float64)
-    if row.ndim != 1 or row.size < 1:
+    if row.ndim != 1:
+        raise InvalidParameterError("track row must be a non-empty 1-D vector")
+    return _delta_rows(row[np.newaxis], filter_len)[0]
+
+
+def _delta_rows(scores: np.ndarray, filter_len: int) -> np.ndarray:
+    """``delta_scores`` of every row of a (K, T) array, one cumsum along time."""
+    if scores.shape[1] < 1:
         raise InvalidParameterError("track row must be a non-empty 1-D vector")
     h = (filter_len - 1) // 2
-    padded = np.concatenate([np.full(h, row[0]), row, np.full(h, row[-1])])
-    cs = np.concatenate([[0.0], np.cumsum(padded)])
-    t = np.arange(row.size)
-    fwd = (cs[t + 2 * h + 1] - cs[t + h]) / (h + 1)  # s[t .. t+h]
-    bwd = (cs[t + h] - cs[t]) / h                    # s[t-h .. t-1]
+    n = scores.shape[1]
+    padded = np.concatenate(
+        [np.repeat(scores[:, :1], h, axis=1), scores, np.repeat(scores[:, -1:], h, axis=1)],
+        axis=1,
+    )
+    cs = np.concatenate([np.zeros((len(scores), 1)), np.cumsum(padded, axis=1)], axis=1)
+    fwd = (cs[:, 2 * h + 1 : 2 * h + 1 + n] - cs[:, h : h + n]) / (h + 1)  # s[t .. t+h]
+    bwd = (cs[:, h : h + n] - cs[:, :n]) / h                               # s[t-h .. t-1]
     return fwd - bwd
 
 
@@ -163,9 +173,10 @@ def _pair_boundaries(onsets, offsets, delta, n_frames):
 def detect_candidates(track: ScoreTrack, cfg: CsebbConfig) -> dict[str, list[SEBB]]:
     """Candidate bounding boxes per class, before gap merging."""
     out: dict[str, list[SEBB]] = {}
+    deltas = _delta_rows(track.scores, cfg.filter_len)
     for k, cname in enumerate(track.class_names):
         row = track.scores[k]
-        delta = delta_scores(row, cfg.filter_len)
+        delta = deltas[k]
         onsets, offsets = _boundaries(delta, cfg.boundary_threshold)
         spans = _pair_boundaries(onsets, offsets, delta, track.n_frames)
         cands = []

@@ -96,6 +96,25 @@ class TestEvaluate:
         assert "joint=2.000000" in captured.out
         assert out_file.read_text() == captured.out
 
+    @pytest.mark.parametrize("empty", ["--segscores", "--segtruth"])
+    def test_mpauc_file_without_rows_is_data_error(self, tmp_path, capsys, empty):
+        track = ScoreTrack(
+            scores=np.full((1, 4), 0.5), hop_seconds=1.0, class_names=("dog",), clip_id="a"
+        )
+        full, header_only = tmp_path / "full.csv", tmp_path / "header_only.csv"
+        write_scores([track], full)
+        header_only.write_text("# hop_seconds=1\nclip_id,frame,dog\n")
+        files = {"--segscores": full, "--segtruth": full, empty: header_only}
+        code = run([
+            "evaluate", "--mpauc",
+            "--segscores", str(files["--segscores"]), "--segtruth", str(files["--segtruth"]),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {header_only}:2:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_needs_a_metric_flag(self, tmp_path):
         assert run(["evaluate"]) == 1
 
@@ -225,6 +244,9 @@ class TestPostprocessAndTune:
             ("postprocess", "--config", "# tuned\nfilter_len=abc\n", 2),
             ("postprocess", "--config", "filter_len=5\nthreshold=high\n", 2),
             ("postprocess", "--config", "filter_len 5\n", 1),
+            ("postprocess", "--thresholds-file", "Speech\tabc\n", 1),
+            ("postprocess", "--thresholds-file", "# per class\nSpeech 0.3\n", 2),
+            ("features", "--config", "n_mels=16\ndomain=foo\n", 2),
         ],
     )
     def test_bad_file_value_is_usage_error(
@@ -236,11 +258,15 @@ class TestPostprocessAndTune:
         write_durations({"a": 4.0}, durs)
         values = tmp_path / "values.cfg"
         values.write_text(text)
+        wav_dir = tmp_path / "wavs"  # a WAV that fails to decode: the value is checked first
+        wav_dir.mkdir()
+        (wav_dir / "bad.wav").write_bytes(b"nope")
         argv = {
             "tune-sebb": ["tune-sebb", "--scores", str(scores), "--truth", str(truth),
                           "--durations", str(durs)],
             "postprocess": ["postprocess", "--scores", str(scores),
                             "--out", str(tmp_path / "ev.tsv")],
+            "features": ["features", "--in", str(wav_dir), "--out", str(tmp_path / "f.fmt")],
         }[command]
         code = run(argv + [flag, str(values)])
         captured = capsys.readouterr()

@@ -1,7 +1,11 @@
 """TSV/CSV readers and writers, class mapping, line-numbered errors."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sedtk.dataio import (
     DEFAULT_CLASS_MAP,
@@ -196,3 +200,158 @@ class TestScores:
         with pytest.raises(ParseError) as err:
             read_scores(path)
         assert err.value.line == 3
+
+    def test_clip_split_into_two_blocks_continues_its_frames(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "# hop_seconds=0.5\nclip_id,frame,dog\n"
+            "a,0,0.1\na,1,0.2\nb,0,0.3\na,2,0.4\n"
+        )
+        tracks = read_scores(path)
+        assert [t.clip_id for t in tracks] == ["a", "b"]
+        np.testing.assert_array_equal(tracks[0].scores, [[0.1, 0.2, 0.4]])
+        np.testing.assert_array_equal(tracks[1].scores, [[0.3]])
+        path.write_text(
+            "# hop_seconds=0.5\nclip_id,frame,dog\n"
+            "a,0,0.1\nb,0,0.3\na,0,0.4\n"
+        )
+        with pytest.raises(NonContiguousFramesError) as err:
+            read_scores(path)
+        assert err.value.line == 5
+
+
+def _float(text, what, path, line_no):
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ParseError(f"bad {what}: {text!r}", path=path, line=line_no) from exc
+
+
+def _read_scores_per_line(path):
+    """Reference: the one-float()-per-value reader that read_scores replaces."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    hop = None
+    header_idx = None
+    for i, line in enumerate(lines):
+        if line.startswith("#"):
+            text = line.lstrip("#").strip()
+            if text.startswith("hop_seconds="):
+                hop = _float(text.split("=", 1)[1], "hop_seconds", path, i + 1)
+        elif line.strip():
+            header_idx = i
+            break
+    if hop is None:
+        raise ParseError("missing '# hop_seconds=<v>' comment", path=path, line=1)
+    if header_idx is None:
+        raise ParseError("missing header row", path=path, line=len(lines))
+    header = lines[header_idx].split(",")
+    if len(header) < 3 or header[0] != "clip_id" or header[1] != "frame":
+        raise ParseError(
+            "header must be clip_id,frame,<class names>",
+            path=path, line=header_idx + 1,
+        )
+    class_names = tuple(header[2:])
+
+    rows = {}
+    for i, line in enumerate(lines[header_idx + 1 :], start=header_idx + 2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 2 + len(class_names):
+            raise ParseError(
+                f"expected {2 + len(class_names)} fields, got {len(parts)}",
+                path=path, line=i,
+            )
+        clip = parts[0]
+        try:
+            frame = int(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"bad frame index {parts[1]!r}", path=path, line=i) from exc
+        values = [_float(v, "score", path, i) for v in parts[2:]]
+        for v in values:
+            if not 0.0 <= v <= 1.0:
+                raise ScoreOutOfRangeError(f"score {v} out of [0,1]", path=path, line=i)
+        expected = len(rows.setdefault(clip, []))
+        if frame != expected:
+            raise NonContiguousFramesError(
+                f"clip {clip!r}: expected frame {expected}, got {frame}",
+                path=path, line=i,
+            )
+        rows[clip].append(values)
+    return [
+        ScoreTrack(
+            scores=np.array(values, dtype=np.float64).T,
+            hop_seconds=hop, class_names=class_names, clip_id=clip,
+        )
+        for clip, values in rows.items()
+    ]
+
+
+# (field, text) replacements; field 1 is the frame, 2 the first score.
+_MUTATIONS = [
+    "drop field", "extra field", "no comma", "frame gap", "frame as float", "comment line",
+    (1, "x"), (2, "nan"), (2, "1.2"), (2, "0_5"), (2, ""), (2, "0.2_5"),
+]
+
+
+@st.composite
+def _score_csv(draw):
+    """A valid score CSV as lines, then at most one mutation of one body row."""
+    n_classes = draw(st.integers(1, 3))
+    fmt = draw(st.sampled_from(["{:.6f}", "{!r}"]))
+    body = []
+    for c in range(draw(st.integers(1, 4))):
+        for t in range(draw(st.integers(1, 5))):
+            values = draw(st.lists(st.floats(0.0, 1.0), min_size=n_classes, max_size=n_classes))
+            body.append([f"clip{c}", str(t)] + [fmt.format(v) for v in values])
+    mutation = draw(st.none() | st.sampled_from(_MUTATIONS))
+    row = body[draw(st.integers(0, len(body) - 1))]
+    if mutation == "drop field":
+        row.pop()
+    elif mutation == "extra field":
+        row.append("0.5")
+    elif mutation == "no comma":
+        del row[1:]
+    elif mutation == "frame gap":
+        row[1] = str(int(row[1]) + 1)
+    elif mutation == "frame as float":
+        row[1] += ".0"
+    elif mutation is not None and mutation != "comment line":
+        field, text = mutation
+        row[field] = text
+    lines = [",".join(r) for r in body]
+    if mutation == "comment line":
+        lines.insert(body.index(row), "# note")
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    header = ",".join(["clip_id", "frame"] + [f"c{k}" for k in range(n_classes)])
+    return ["# hop_seconds=0.016", header] + lines
+
+
+def _outcome(reader, path):
+    try:
+        tracks = reader(path)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    return [(t.clip_id, t.class_names, t.hop_seconds, t.scores) for t in tracks]
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("scores") / "s.csv"
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(_score_csv())
+@example(["# hop_seconds=1", "clip_id,frame,c0", "a,0,0.1", "a,1,0.2", "a,2,0.3", "a,3.0,0.4"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "a"])
+def test_read_scores_matches_per_line_reader(csv_path, lines):
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    fast = _outcome(read_scores, csv_path)
+    slow = _outcome(_read_scores_per_line, csv_path)
+    if isinstance(fast, tuple) or isinstance(slow, tuple):
+        assert fast == slow
+    else:
+        assert [t[:3] for t in fast] == [t[:3] for t in slow]
+        assert all(np.array_equal(f[3], s[3]) for f, s in zip(fast, slow))

@@ -149,6 +149,24 @@ class TestDetectCandidates:
                     assert 0.0 <= b.onset_s < b.offset_s <= 120 * HOP + 1e-9
                     assert 0.0 <= b.confidence <= 1.0
 
+    def test_each_class_row_is_detected_as_if_alone(self):
+        # "dog" is high at both clip edges and "cat" has boundaries within a
+        # window of them, so "cat" padded with "dog"'s edge values would move.
+        rng = np.random.default_rng(7)
+        names = ("dog", "cat", "speech")
+        scores = rng.uniform(0.0, 0.1, size=(3, 150))
+        scores[0, :40] += 0.8
+        scores[0, 130:] += 0.8
+        scores[1, 3:60] += 0.7
+        scores[1, 100:146] += 0.7
+        scores[2, 50:90] += 0.6
+        for fl in (5, 21):
+            cfg = CsebbConfig(filter_len=fl)
+            together = detect_candidates(_track(scores, class_names=names), cfg)
+            for k, name in enumerate(names):
+                alone = detect_candidates(_track(scores[k], class_names=(name,)), cfg)
+                assert together[name] == alone[name]
+
     def test_score_range_enforced(self):
         with pytest.raises(ScoreOutOfRangeError):
             _track(np.array([0.0, 1.2, 0.5]))
