@@ -26,6 +26,7 @@ from .core import DomainTag, RandomSource, make_batch, read_fmt, write_fmt
 from .errors import ParseError, SedtkError, UsageError
 from .frontend import MelConfig, log_mel, read_wav, resample_to_mono_16k
 
+_DOMAINS = [name.lower() for name in DomainTag.__members__]
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors become exit code 1, not 2
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-mels", dest="n_mels", type=int, default=None)
     p.add_argument("--pad-seconds", dest="pad_seconds", type=float, default=None)
     p.add_argument(
-        "--domain", choices=["desed", "maestro"], default=None,
+        "--domain", choices=_DOMAINS, default=None,
         help="domain tag applied to every clip (default desed)",
     )
 
@@ -143,7 +144,7 @@ def cmd_features(args, cfg) -> int:
     tag = DomainTag.__members__.get(domain.upper())
     if tag is None:  # argparse limits --domain, so the value came from --config
         raise UsageError(
-            f"{cfg['domain'][1]}: domain={domain!r} is not one of desed, maestro"
+            f"{cfg['domain'][1]}: domain={domain!r} is not one of {', '.join(_DOMAINS)}"
         )
     _log_config("features", {
         "in": args.in_dir, "out": args.out, "n_mels": n_mels,

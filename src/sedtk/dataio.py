@@ -9,6 +9,7 @@ with a line-numbered error rather than silently accepting part of a file.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -211,8 +212,12 @@ def _score_columns(body, hop: float, class_names) -> list[ScoreTrack] | None:
         return None
     dtype = [("frame", np.int64), ("scores", np.float64, (len(class_names),))]
     try:
-        table = np.loadtxt(rests, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
+        # numpy 1.23-2.x reads a frame like "3.0" or "2.9" through float() and
+        # truncates it, with only a DeprecationWarning; int() rejects both.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(rests, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
     bounds = [0]
     bounds += [i for i in range(1, len(clips)) if clips[i] != clips[i - 1]]

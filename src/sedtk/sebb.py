@@ -101,35 +101,28 @@ class CsebbConfig:
 
 
 def delta_scores(track_row, filter_len: int) -> np.ndarray:
-    """Two-sided moving-average difference of a score row.
+    """Two-sided moving-average difference of a score row, or of each row.
 
     delta[t] = mean(s[t .. t+h]) - mean(s[t-h .. t-1]) with h = (filter_len-1)/2;
-    window indices are clamped to [0, T-1] (edge replication). Output length
-    equals the input length.
+    window indices are clamped to [0, T-1] (edge replication). Input of shape
+    (..., T) is taken row by row along its last axis; the output has the
+    input's shape.
     """
     if filter_len < 3 or filter_len % 2 == 0:
         raise InvalidFilterLenError(
             f"filter_len must be odd and >= 3, got {filter_len}"
         )
-    row = np.asarray(track_row, dtype=np.float64)
-    if row.ndim != 1:
-        raise InvalidParameterError("track row must be a non-empty 1-D vector")
-    return _delta_rows(row[np.newaxis], filter_len)[0]
-
-
-def _delta_rows(scores: np.ndarray, filter_len: int) -> np.ndarray:
-    """``delta_scores`` of every row of a (K, T) array, one cumsum along time."""
-    if scores.shape[1] < 1:
-        raise InvalidParameterError("track row must be a non-empty 1-D vector")
+    rows = np.asarray(track_row, dtype=np.float64)
+    if rows.ndim < 1 or rows.shape[-1] < 1:
+        raise InvalidParameterError("track row must be a non-empty vector")
     h = (filter_len - 1) // 2
-    n = scores.shape[1]
-    padded = np.concatenate(
-        [np.repeat(scores[:, :1], h, axis=1), scores, np.repeat(scores[:, -1:], h, axis=1)],
-        axis=1,
+    n = rows.shape[-1]
+    padded = np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(h, h)], mode="edge")
+    cs = np.concatenate(
+        [np.zeros(rows.shape[:-1] + (1,)), np.cumsum(padded, axis=-1)], axis=-1
     )
-    cs = np.concatenate([np.zeros((len(scores), 1)), np.cumsum(padded, axis=1)], axis=1)
-    fwd = (cs[:, 2 * h + 1 : 2 * h + 1 + n] - cs[:, h : h + n]) / (h + 1)  # s[t .. t+h]
-    bwd = (cs[:, h : h + n] - cs[:, :n]) / h                               # s[t-h .. t-1]
+    fwd = (cs[..., 2 * h + 1 : 2 * h + 1 + n] - cs[..., h : h + n]) / (h + 1)  # s[t .. t+h]
+    bwd = (cs[..., h : h + n] - cs[..., :n]) / h                               # s[t-h .. t-1]
     return fwd - bwd
 
 
@@ -173,7 +166,7 @@ def _pair_boundaries(onsets, offsets, delta, n_frames):
 def detect_candidates(track: ScoreTrack, cfg: CsebbConfig) -> dict[str, list[SEBB]]:
     """Candidate bounding boxes per class, before gap merging."""
     out: dict[str, list[SEBB]] = {}
-    deltas = _delta_rows(track.scores, cfg.filter_len)
+    deltas = delta_scores(track.scores, cfg.filter_len)
     for k, cname in enumerate(track.class_names):
         row = track.scores[k]
         delta = deltas[k]

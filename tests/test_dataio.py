@@ -1,5 +1,6 @@
 """TSV/CSV readers and writers, class mapping, line-numbered errors."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,36 @@ class TestScores:
             read_scores(path)
         assert err.value.line == 5
 
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("frame", ["3.0", "2.9"])
+    def test_frame_written_as_float_is_bad_with_warnings_ignored(self, tmp_path, frame):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "# hop_seconds=0.5\nclip_id,frame,dog\n"
+            f"a,0,0.1\na,1,0.2\na,2,0.3\na,{frame},0.4\n"
+        )
+        with pytest.raises(ParseError, match=f"bad frame index '{frame}'") as err:
+            read_scores(path)
+        assert err.value.line == 6
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_frame_truncated_by_numpy_with_a_warning_is_bad(self, tmp_path, monkeypatch):
+        # numpy 1.23-2.x loadtxt parses an int64 field "2.9" as 2 and only
+        # warns; the frame must still be rejected as int() rejects it.
+        loadtxt = np.loadtxt
+
+        def truncating_loadtxt(rows, **kwargs):
+            warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+            split = (row.partition(",") for row in rows)
+            return loadtxt([f"{int(float(f))},{rest}" for f, _, rest in split], **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        path = tmp_path / "s.csv"
+        path.write_text("# hop_seconds=0.5\nclip_id,frame,dog\na,0,0.1\na,1.9,0.2\n")
+        with pytest.raises(ParseError, match="bad frame index '1.9'") as err:
+            read_scores(path)
+        assert err.value.line == 4
+
 
 def _float(text, what, path, line_no):
     try:
@@ -341,7 +372,6 @@ def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("scores") / "s.csv"
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=300, deadline=None)
 @given(_score_csv())
 @example(["# hop_seconds=1", "clip_id,frame,c0", "a,0,0.1", "a,1,0.2", "a,2,0.3", "a,3.0,0.4"])

@@ -77,6 +77,19 @@ class TestDeltaScores:
     def test_length_preserved(self):
         assert delta_scores(np.zeros(17), 9).shape == (17,)
 
+    def test_stack_of_rows_equals_one_row_at_a_time(self):
+        rows = np.random.default_rng(3).uniform(size=(2, 3, 40))
+        for fl in (3, 11, 41):
+            stacked = delta_scores(rows, fl)
+            assert stacked.shape == rows.shape
+            for idx in np.ndindex(rows.shape[:-1]):
+                assert np.array_equal(stacked[idx], delta_scores(rows[idx], fl))
+
+    def test_empty_row_rejected(self):
+        for bad in (np.zeros(0), np.zeros((3, 0)), np.float64(0.5)):
+            with pytest.raises(InvalidParameterError):
+                delta_scores(bad, 5)
+
     def test_reversal_antisymmetry_on_ramps(self):
         # Exact antisymmetry holds on locally linear signals (interior
         # frames); see the delta window note in the module docs.
