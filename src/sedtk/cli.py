@@ -221,6 +221,10 @@ def cmd_postprocess(args, cfg) -> int:
                 raise UsageError(f"{where}: expected class<TAB>threshold, got {line!r}")
             cls, value = line.split("\t")
             thresholds[cls] = _cast(float, cls, value, where)
+            if not 0.0 <= thresholds[cls] <= 1.0:
+                raise UsageError(
+                    f"{where}: threshold for {cls!r} must be in [0,1], got {value!r}"
+                )
     tracks = dataio.read_scores(args.scores)
     events = []
     for tr in tracks:

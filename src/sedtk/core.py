@@ -109,13 +109,15 @@ class RandomSource:
         if not 0 <= seed < 2**64:
             raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed
-        self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        self._seq = np.random.SeedSequence(seed)
+        self._gen = np.random.Generator(np.random.Philox(self._seq))
 
     @classmethod
-    def _wrap(cls, gen: np.random.Generator, seed: int) -> "RandomSource":
+    def _wrap(cls, seq: np.random.SeedSequence, seed: int) -> "RandomSource":
         src = cls.__new__(cls)
         src.seed = seed
-        src._gen = gen
+        src._seq = seq
+        src._gen = np.random.Generator(np.random.Philox(seq))
         return src
 
     def uniform(self, size=None):
@@ -129,24 +131,38 @@ class RandomSource:
             raise InvalidParameterError(f"probability must be in [0,1], got {p}")
         return bool(self._gen.random() < p)
 
+    def gamma(self, shape: float, size=None):
+        """Draw from the standard Gamma(shape, 1) distribution."""
+        return self._gen.standard_gamma(shape, size=size)
+
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
     def split(self, n: int) -> list["RandomSource"]:
-        """Spawn n independent child streams (parent remains usable)."""
-        return [self._wrap(g, self.seed) for g in self._gen.spawn(n)]
+        """Spawn n independent child streams (parent remains usable).
+
+        Spawns from the seed sequence, as ``Generator.spawn`` (numpy >= 1.25)
+        does, so the child streams are the same on every supported numpy.
+        """
+        return [self._wrap(seq, self.seed) for seq in self._seq.spawn(n)]
 
 
 def beta_sample(rng: RandomSource, alpha: float, size=None):
     """Draw from the symmetric Beta(alpha, alpha) distribution.
 
-    Uses Johnk's rejection algorithm in log space, which is exact for any
-    alpha > 0 and efficient for alpha < 1 (the regime used here). Returns a
-    scalar float when size is None, else an array of the given shape.
+    For alpha <= 1 (the regime used here) this is Johnk's rejection
+    algorithm in log space. Its acceptance rate falls fast as alpha grows,
+    so alpha > 1 uses the ratio G1 / (G1 + G2) of two Gamma(alpha) draws,
+    one batch of draws per call. Returns a scalar float when size is None,
+    else an array of the given shape.
     """
-    if not alpha > 0:
-        raise InvalidParameterError(f"Beta coefficient must be > 0, got {alpha}")
+    if not 0 < alpha < float("inf"):
+        raise InvalidParameterError(f"Beta coefficient must be finite and > 0, got {alpha}")
     n = 1 if size is None else int(np.prod(size))
+    if alpha > 1:
+        g = rng.gamma(alpha, size=(2, n))
+        out = g[0] / (g[0] + g[1])
+        return float(out[0]) if size is None else out.reshape(size)
     out = np.empty(n, dtype=np.float64)
     filled = 0
     while filled < n:

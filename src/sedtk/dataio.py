@@ -174,6 +174,10 @@ def read_scores(path) -> list[ScoreTrack]:
             text = line.lstrip("#").strip()
             if text.startswith("hop_seconds="):
                 hop = _float(text.split("=", 1)[1], "hop_seconds", path, i + 1)
+                if not 0 < hop < float("inf"):
+                    raise ParseError(
+                        f"hop_seconds must be finite and > 0, got {hop}", path=path, line=i + 1
+                    )
         elif line.strip():
             header_idx = i
             break

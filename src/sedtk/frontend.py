@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import get_window, resample_poly
+from scipy.sparse import csr_array
 
 from .core import FeatureMap
 from .errors import ConfigInvalidError, EmptyAudioError, ParseError
@@ -132,6 +134,22 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     return weights * enorm[:, None]
 
 
+@lru_cache(maxsize=8)
+def _analysis_tables(cfg: MelConfig) -> tuple[np.ndarray, csr_array]:
+    """Read-only n_fft-long window and sparse filterbank, built once per config.
+
+    The periodic Hann window is zero-padded to n_fft, centered. Each
+    triangular filter touches only the FFT bins between its band edges, so
+    the filterbank is held as CSR and applied without a dense GEMM.
+    """
+    window = get_window("hann", cfg.win_length, fftbins=True)
+    if cfg.win_length < cfg.n_fft:
+        lpad = (cfg.n_fft - cfg.win_length) // 2
+        window = np.pad(window, (lpad, cfg.n_fft - cfg.win_length - lpad))
+    window.flags.writeable = False
+    return window, csr_array(mel_filterbank(cfg))
+
+
 def resample_to_mono_16k(clip: AudioClip, target_rate: int = 16000) -> AudioClip:
     """Average channels to mono, then band-limited polyphase resample."""
     if clip.samples.shape[0] == 0:
@@ -177,13 +195,10 @@ def log_mel(clip: AudioClip, cfg: MelConfig) -> FeatureMap:
         :: cfg.hop_length
     ][:n_frames]
 
-    window = get_window("hann", cfg.win_length, fftbins=True)
-    if cfg.win_length < cfg.n_fft:
-        lpad = (cfg.n_fft - cfg.win_length) // 2
-        window = np.pad(window, (lpad, cfg.n_fft - cfg.win_length - lpad))
+    window, filterbank = _analysis_tables(cfg)
     spec = np.abs(np.fft.rfft(frames * window, n=cfg.n_fft, axis=1)) ** 2
 
-    mel = mel_filterbank(cfg) @ spec.T  # (n_mels, T)
+    mel = filterbank @ spec.T  # (n_mels, T)
     out = np.log(np.maximum(mel, cfg.log_floor))
     return FeatureMap(out[None, :, :].astype(np.float32))
 

@@ -411,7 +411,8 @@ def partial_roc_auc(
     keep = fpr <= max_fpr
     fpr_p = np.concatenate([fpr[keep], [max_fpr]])
     tpr_p = np.concatenate([tpr[keep], [cut_tpr]])
-    pauc = float(np.trapezoid(tpr_p, fpr_p))
+    # np.trapezoid's sum, spelled out: numpy < 2.0 has only np.trapz
+    pauc = float(np.add.reduce(np.diff(fpr_p) * (tpr_p[1:] + tpr_p[:-1]) / 2.0))
 
     if not standardize:
         return pauc / max_fpr

@@ -30,8 +30,8 @@ class MixStyleConfig:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ConfigInvalidError(f"p must be in [0,1], got {self.p}")
-        if not self.alpha > 0:
-            raise ConfigInvalidError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < float("inf"):
+            raise ConfigInvalidError(f"alpha must be finite and > 0, got {self.alpha}")
         if not self.eps > 0:
             raise ConfigInvalidError(f"eps must be > 0, got {self.eps}")
 

@@ -147,6 +147,12 @@ class TestAugment:
         run(["augment", "--in", str(fmt_file), "--out", str(tmp_path / "o.fmt"), "--p", "1"])
         assert fmt_file.read_bytes() == before
 
+    def test_large_alpha_finishes(self, tmp_path, fmt_file):
+        out = tmp_path / "o.fmt"
+        argv = ["augment", "--in", str(fmt_file), "--out", str(out), "--p", "1", "--seed", "3"]
+        assert run(argv + ["--alpha", "30"]) == 0
+        assert len(read_fmt(out)) == 4
+
     def test_config_file_supplies_flags(self, tmp_path, fmt_file):
         cfg = tmp_path / "aug.cfg"
         cfg.write_text("p=0\n")
@@ -192,6 +198,18 @@ class TestPostprocessAndTune:
         path = tmp_path / "scores.csv"
         write_scores([track], path)
         return path
+
+    @pytest.mark.parametrize("hop", ["0", "-0.02", "nan", "inf"])
+    def test_bad_hop_is_data_error_at_its_line(self, tmp_path, capsys, hop):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"# clip a\n# hop_seconds={hop}\nclip_id,frame,dog\na,0,0.5\n")
+        out = tmp_path / "ev.tsv"
+        code = run(["postprocess", "--scores", str(scores), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {scores}:2: hop_seconds must be finite and > 0" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
     def test_postprocess_detects_plateau(self, tmp_path):
         scores = self._scores_fixture(tmp_path)
@@ -246,6 +264,8 @@ class TestPostprocessAndTune:
             ("postprocess", "--config", "filter_len 5\n", 1),
             ("postprocess", "--thresholds-file", "Speech\tabc\n", 1),
             ("postprocess", "--thresholds-file", "# per class\nSpeech 0.3\n", 2),
+            ("postprocess", "--thresholds-file", "dog\t1.5\n", 1),
+            ("postprocess", "--thresholds-file", "Speech\t0.3\ndog\tnan\n", 2),
             ("features", "--config", "n_mels=16\ndomain=foo\n", 2),
         ],
     )

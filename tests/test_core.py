@@ -130,11 +130,31 @@ class TestBetaSample:
             ks = sps.kstest(draws, lambda q, a=alpha: sps.beta.cdf(q, a, a))
             assert ks.statistic < 0.02, f"alpha={alpha}"
 
+    def test_large_alpha_draws_once(self):
+        # Johnk's acceptance rate collapses as alpha grows (alpha=30 never
+        # returned); the gamma ratio draws one batch. The counter turns a
+        # regression into a failure instead of a hang.
+        rng = RandomSource(31)
+        calls = []
+        for name in ("uniform", "gamma"):
+            def counted(*args, _name=name, _draw=getattr(rng, name), **kwargs):
+                calls.append(_name)
+                assert len(calls) <= 10, "beta_sample keeps redrawing"
+                return _draw(*args, **kwargs)
+            setattr(rng, name, counted)
+        draws = beta_sample(rng, 30.0, size=20_000)
+        assert calls == ["gamma"]
+        ks = sps.kstest(draws, lambda q: sps.beta.cdf(q, 30.0, 30.0))
+        assert ks.statistic < 0.02
+        assert isinstance(beta_sample(rng, 30.0), float)
+
     def test_invalid_alpha(self):
         with pytest.raises(InvalidParameterError):
             beta_sample(RandomSource(0), 0.0)
         with pytest.raises(InvalidParameterError):
             beta_sample(RandomSource(0), -1.0)
+        with pytest.raises(InvalidParameterError):
+            beta_sample(RandomSource(0), float("inf"))
 
 
 class TestFmtFile:

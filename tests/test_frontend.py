@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.signal import get_window
 
 from sedtk.errors import ConfigInvalidError, EmptyAudioError, ParseError
 from sedtk.frontend import (
     AudioClip,
+    _analysis_tables,
     MelConfig,
     hz_to_mel,
     log_mel,
@@ -127,6 +129,78 @@ class TestLogMel:
             MelConfig(hop_length=4096)
         with pytest.raises(ConfigInvalidError):
             MelConfig(n_mels=0)
+
+
+def _dense_log_mel(samples, cfg):
+    """The uncached path: window and dense filterbank rebuilt, one dense product.
+
+    Returns the float64 power spectrogram and mel power (before the log and
+    the cast) and the float32 log-mel map.
+    """
+    target_len = int(round(cfg.pad_to_seconds * cfg.sample_rate))
+    y = np.pad(samples.astype(np.float64), (0, max(0, target_len - samples.size)))
+    y = np.pad(y, (cfg.n_fft // 2, cfg.n_fft // 2), mode="reflect")
+    n_frames = 1 + (y.shape[0] - cfg.n_fft) // cfg.hop_length
+    frames = np.lib.stride_tricks.sliding_window_view(y, cfg.n_fft)[:: cfg.hop_length][:n_frames]
+    window = get_window("hann", cfg.win_length, fftbins=True)
+    if cfg.win_length < cfg.n_fft:
+        lpad = (cfg.n_fft - cfg.win_length) // 2
+        window = np.pad(window, (lpad, cfg.n_fft - cfg.win_length - lpad))
+    spec = np.abs(np.fft.rfft(frames * window, n=cfg.n_fft, axis=1)) ** 2
+    mel = mel_filterbank(cfg) @ spec.T
+    return spec, mel, np.log(np.maximum(mel, cfg.log_floor)).astype(np.float32)
+
+
+_PROJECTION_CONFIGS = [
+    MelConfig(),
+    MelConfig(n_mels=64),
+    MelConfig(n_mels=256),
+    MelConfig(win_length=1024),
+    MelConfig(fmin=50.0, fmax=7000.0),
+    MelConfig(n_fft=512, win_length=512, hop_length=128, n_mels=40),
+]
+
+
+def _benchmark_like_clips():
+    rng = np.random.default_rng(0)
+    noise = rng.normal(scale=0.1, size=10 * SR).astype(np.float32)
+    hum = rng.normal(scale=0.01, size=int(6.5 * SR)).astype(np.float32)
+    short_mix = _tone(440, 6.5, amp=0.3) + hum  # right-padded to 10 s
+    return [_tone(1000, 10, amp=0.5), noise, short_mix]
+
+
+class TestCachedProjection:
+    @pytest.mark.parametrize(
+        "cfg", _PROJECTION_CONFIGS,
+        ids=["default", "mels64", "mels256", "win1024", "fmin50-fmax7k", "nfft512"],
+    )
+    def test_matches_dense_reference(self, cfg):
+        window, filterbank = _analysis_tables(cfg)
+        for samples in _benchmark_like_clips():
+            spec, dense_mel, dense_out = _dense_log_mel(samples, cfg)
+            np.testing.assert_allclose(filterbank @ spec.T, dense_mel, rtol=1e-12, atol=0.0)
+            got = log_mel(AudioClip(samples, SR), cfg)
+            np.testing.assert_array_equal(got.data[0], dense_out)
+        assert window.shape == (cfg.n_fft,)
+
+    def test_filterbank_copy_is_detached_from_cache(self):
+        cfg = MelConfig()
+        clip = AudioClip(_tone(1000, 10), SR)
+        before = log_mel(clip, cfg)
+        fb = mel_filterbank(cfg)
+        fb *= 2.0
+        fb[:, :10] = 1.0
+        after = log_mel(clip, cfg)
+        np.testing.assert_array_equal(after.data, before.data)
+        assert not np.shares_memory(fb, mel_filterbank(cfg))
+
+    def test_cached_window_is_read_only(self):
+        cfg = MelConfig(win_length=1024)
+        window, _ = _analysis_tables(cfg)
+        assert window is _analysis_tables(cfg)[0]
+        assert not window.flags.writeable
+        with pytest.raises(ValueError):
+            window[0] = 1.0
 
 
 class TestWavIO:

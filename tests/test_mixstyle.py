@@ -195,4 +195,6 @@ class TestFreqMixstyle:
         with pytest.raises(ConfigInvalidError):
             MixStyleConfig(alpha=0.0)
         with pytest.raises(ConfigInvalidError):
+            MixStyleConfig(alpha=float("inf"))
+        with pytest.raises(ConfigInvalidError):
             MixStyleConfig(eps=0.0)
