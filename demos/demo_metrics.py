@@ -18,7 +18,7 @@ from sedtk import (
     Event,
     PsdsConfig,
     joint_score,
-    mpauc,
+    mpauc_report,
     partial_roc_auc,
     psd_roc,
     psds,
@@ -60,7 +60,7 @@ for seg in range(120):
         noise = rng.normal(scale=0.25)
         scores[key] = float(np.clip(0.35 + 0.4 * labels[key] + noise, 0, 1))
 
-mpauc_value = mpauc(scores, labels, classes=["dog", "cat"])
+mpauc_value = mpauc_report(scores, labels, classes=["dog", "cat"])["mpauc"]
 print(f"\nsegment-level macro partial AUC (FPR cap 0.1): {mpauc_value:.3f}")
 y = np.array([labels[("a", s, "dog")] for s in range(120)])
 s = np.array([scores[("a", s, "dog")] for s in range(120)])

@@ -20,14 +20,8 @@ from .core import (
     read_fmt,
     write_fmt,
 )
-from .stats import ChanStats, FreqStats, chan_stats, export_stats, freq_stats
-from .mixstyle import (
-    MixedStats,
-    MixStyleConfig,
-    freq_mixstyle,
-    make_reference_batch,
-    mix_statistics,
-)
+from .stats import ChanStats, FreqStats, bin_moments, chan_stats, export_stats, freq_stats
+from .mixstyle import MixStyleConfig, freq_mixstyle, make_reference_batch
 from .norm import (
     AdaResNormParams,
     NormGradients,
@@ -54,7 +48,6 @@ from .metrics import (
     PsdsConfig,
     intersection_match,
     joint_score,
-    mpauc,
     mpauc_report,
     partial_roc_auc,
     psd_roc,
@@ -77,7 +70,6 @@ __all__ = [
     "FreqStats",
     "MelConfig",
     "MixStyleConfig",
-    "MixedStats",
     "NormGradients",
     "PsdsConfig",
     "RandomSource",
@@ -86,6 +78,7 @@ __all__ = [
     "ada_res_norm",
     "ada_res_norm_grad",
     "beta_sample",
+    "bin_moments",
     "chan_stats",
     "delta_scores",
     "detect_candidates",
@@ -101,8 +94,6 @@ __all__ = [
     "make_batch",
     "make_reference_batch",
     "merge_gaps",
-    "mix_statistics",
-    "mpauc",
     "mpauc_report",
     "partial_roc_auc",
     "psd_roc",

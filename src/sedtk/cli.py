@@ -158,6 +158,12 @@ def cmd_features(args, cfg) -> int:
     for wav in wavs:
         clip = resample_to_mono_16k(read_wav(wav))
         maps.append(log_mel(clip, mel_cfg))
+        if maps[-1].shape != maps[0].shape:
+            raise SedtkError(
+                f"{wav}: feature map has shape {maps[-1].shape}, but {wavs[0]} has "
+                f"{maps[0].shape}; pad_seconds={pad_seconds} pads shorter clips "
+                "but never cuts longer ones"
+            )
     batch = make_batch(maps, [tag] * len(maps))
     write_fmt(batch, args.out)
     print(f"wrote {len(maps)} feature maps to {args.out}", file=sys.stderr)

@@ -1,5 +1,6 @@
-"""Tensor substrate: (C, F, T) feature maps, domain-tagged batches, and the
-deterministic random source threaded through every stochastic operation.
+"""Tensor substrate: (C, F, T) feature maps, domain-tagged batches held as
+one (N, C, F, T) array, and the deterministic random source threaded
+through every stochastic operation.
 
 Storage is float32; all reductions elsewhere accumulate in float64.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -49,6 +51,13 @@ class FeatureMap:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
+    @classmethod
+    def _view(cls, arr: np.ndarray) -> "FeatureMap":
+        """Wrap an already checked read-only (C, F, T) array as it is."""
+        fmap = object.__new__(cls)
+        object.__setattr__(fmap, "data", arr)
+        return fmap
+
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape  # type: ignore[return-value]
@@ -56,44 +65,59 @@ class FeatureMap:
 
 @dataclass(frozen=True)
 class Batch:
-    """Ordered, shape-homogeneous collection of (FeatureMap, DomainTag) items."""
+    """N domain-tagged (C, F, T) feature maps held as one array.
 
-    maps: tuple[FeatureMap, ...]
+    ``data`` is a read-only, C-contiguous (N, C, F, T) float32 array,
+    checked once here. A writeable input array is copied, so later writes
+    to it cannot reach the batch; a read-only one is taken as it is.
+    """
+
+    data: np.ndarray
     tags: tuple[DomainTag, ...]
 
     def __post_init__(self):
-        if len(self.maps) == 0:
+        arr = np.ascontiguousarray(self.data, dtype=STORAGE_DTYPE)
+        if arr.ndim != 4:
+            raise ShapeMismatchError(f"batch must be 4-D (N,C,F,T), got ndim={arr.ndim}")
+        if arr.shape[0] == 0:
             raise EmptyBatchError("batch must contain at least one item")
-        if len(self.maps) != len(self.tags):
-            raise ShapeMismatchError(
-                f"{len(self.maps)} maps but {len(self.tags)} domain tags"
-            )
-        ref = self.maps[0].shape
-        for i, m in enumerate(self.maps):
-            if m.shape != ref:
-                raise ShapeMismatchError(
-                    f"batch item {i} has shape {m.shape}, expected {ref}"
-                )
+        if min(arr.shape) < 1:
+            raise ShapeMismatchError(f"feature map dims must all be >= 1, got {arr.shape[1:]}")
+        if arr.shape[0] != len(self.tags):
+            raise ShapeMismatchError(f"{arr.shape[0]} maps but {len(self.tags)} domain tags")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidParameterError("batch data contains NaN or Inf")
+        if arr.flags.writeable:
+            arr = arr.copy() if arr is self.data else arr
+            arr.flags.writeable = False
+        object.__setattr__(self, "data", arr)
         object.__setattr__(self, "tags", tuple(DomainTag(t) for t in self.tags))
 
     def __len__(self) -> int:
-        return len(self.maps)
+        return self.data.shape[0]
 
     @property
     def shape(self) -> tuple[int, int, int]:
         """Common (C, F, T) of every item."""
-        return self.maps[0].shape
+        return self.data.shape[1:]  # type: ignore[return-value]
 
-    def stack(self) -> np.ndarray:
-        """Copy items into one (N, C, F, T) float32 array."""
-        return np.stack([m.data for m in self.maps]).astype(STORAGE_DTYPE)
+    @cached_property
+    def maps(self) -> tuple[FeatureMap, ...]:
+        """One read-only (C, F, T) view of ``data`` per item; nothing is copied."""
+        return tuple(FeatureMap._view(item) for item in self.data)
 
 
 def make_batch(maps: Sequence[FeatureMap], tags: Sequence[DomainTag]) -> Batch:
-    """Assemble a batch, preserving input order."""
+    """Stack same-shape maps into a batch, preserving input order."""
     if len(maps) == 0:
         raise EmptyBatchError("cannot build a batch from zero maps")
-    return Batch(tuple(maps), tuple(tags))
+    ref = maps[0].shape
+    for i, m in enumerate(maps):
+        if m.shape != ref:
+            raise ShapeMismatchError(f"batch item {i} has shape {m.shape}, expected {ref}")
+    data = np.stack([m.data for m in maps])
+    data.flags.writeable = False
+    return Batch(data, tags)
 
 
 class RandomSource:
@@ -188,13 +212,11 @@ def write_fmt(batch: Batch, path) -> None:
     Layout: magic "FMT1", u32-LE N,C,F,T, N*C*F*T little-endian float32 in
     (n,c,f,t) row-major order, then N domain-tag bytes (0=DESED, 1=MAESTRO).
     """
-    n = len(batch)
-    c, f, t = batch.shape
     with open(path, "wb") as fh:
         fh.write(FMT_MAGIC)
-        fh.write(struct.pack("<4I", n, c, f, t))
-        fh.write(batch.stack().astype("<f4", copy=False).tobytes(order="C"))
-        fh.write(bytes(int(tag) for tag in batch.tags))
+        fh.write(struct.pack("<4I", len(batch), *batch.shape))
+        fh.write(batch.data.astype("<f4", copy=False))
+        fh.write(bytes(batch.tags))
 
 
 def read_fmt(path) -> Batch:
@@ -214,12 +236,10 @@ def read_fmt(path) -> Batch:
             path=path,
         )
     data = np.frombuffer(raw, dtype="<f4", count=n * c * f * t, offset=20)
-    data = data.reshape(n, c, f, t)
-    if not np.all(np.isfinite(data)):
-        raise ParseError("tensor payload contains NaN or Inf", path=path)
-    tag_bytes = raw[20 + payload :]
-    if any(b not in (0, 1) for b in tag_bytes):
+    tags = np.frombuffer(raw, dtype=np.uint8, offset=20 + payload)
+    if tags.max() > 1:
         raise ParseError("domain tag bytes must be 0 or 1", path=path)
-    maps = [FeatureMap(data[i]) for i in range(n)]
-    tags = [DomainTag(b) for b in tag_bytes]
-    return make_batch(maps, tags)
+    try:
+        return Batch(data.reshape(n, c, f, t), tags.tolist())
+    except InvalidParameterError:
+        raise ParseError("tensor payload contains NaN or Inf", path=path) from None

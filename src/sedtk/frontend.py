@@ -80,6 +80,10 @@ class MelConfig:
             raise ConfigInvalidError("log_floor must be > 0")
         if not 0 <= self.fmin < self.fmax:
             raise ConfigInvalidError("need 0 <= fmin < fmax")
+        if not 0 <= self.pad_to_seconds < float("inf"):
+            raise ConfigInvalidError(
+                f"pad_to_seconds must be finite and >= 0, got {self.pad_to_seconds}"
+            )
 
 
 def hz_to_mel(freq_hz):

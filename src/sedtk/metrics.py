@@ -461,19 +461,6 @@ def mpauc_report(
     return {"mpauc": macro, "per_class": per_class, "excluded": excluded}
 
 
-def mpauc(
-    segment_scores: Mapping[tuple[str, int, str], float],
-    segment_labels: Mapping[tuple[str, int, str], int],
-    classes: Sequence[str] | None = None,
-    max_fpr: float = 0.1,
-    standardize: bool = True,
-) -> float:
-    """Macro-averaged partial ROC AUC over classes; see ``mpauc_report``."""
-    return mpauc_report(segment_scores, segment_labels, classes, max_fpr, standardize)[
-        "mpauc"
-    ]
-
-
 def joint_score(psds_value: float, mpauc_value: float) -> float:
     """Sum of the event-level and segment-level metric values."""
     for name, v in (("psds", psds_value), ("mpauc", mpauc_value)):

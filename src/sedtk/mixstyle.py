@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, DomainTag, FeatureMap, RandomSource, beta_sample
-from .errors import ConfigInvalidError, InvalidParameterError, ShapeMismatchError
-from .stats import FreqStats
+from .core import Batch, DomainTag, RandomSource, beta_sample
+from .errors import ConfigInvalidError, InvalidParameterError
+from .stats import bin_moments
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,6 @@ class MixStyleConfig:
             raise ConfigInvalidError(f"eps must be > 0, got {self.eps}")
 
 
-@dataclass(frozen=True)
-class MixedStats:
-    """Convex mixture of two instances' per-bin statistics.
-
-    ``mu`` mixes the means, ``sigma`` mixes the stds, with weight ``lam`` on
-    the instance's own statistics.
-    """
-
-    mu: np.ndarray
-    sigma: np.ndarray
-    lam: float
-
-
 def make_reference_batch(
     batch: Batch, rng: RandomSource, permutation=None
 ) -> Batch:
@@ -60,42 +47,22 @@ def make_reference_batch(
     """
     tags = batch.tags
     n = len(batch)
-    split = n
-    for i, t in enumerate(tags):
-        if t == DomainTag.MAESTRO:
-            split = i
-            break
-    if any(t == DomainTag.DESED for t in tags[split:]):
+    split = tags.index(DomainTag.MAESTRO) if DomainTag.MAESTRO in tags else n
+    if DomainTag.DESED in tags[split:]:
         raise InvalidParameterError(
             "batch must be a DESED block followed by a MAESTRO block"
         )
-    swapped = list(range(split, n)) + list(range(split))
+    swapped = np.r_[split:n, 0:split]
     if permutation is None:
         perm = rng.permutation(n)
     else:
         perm = np.asarray(permutation)
         if sorted(perm.tolist()) != list(range(n)):
             raise InvalidParameterError("permutation must reorder 0..N-1")
-    order = [swapped[p] for p in perm]
-    return Batch(
-        maps=tuple(batch.maps[i] for i in order),
-        tags=tuple(batch.tags[i] for i in order),
-    )
-
-
-def mix_statistics(
-    x_stats: FreqStats, ref_stats: FreqStats, lam: float
-) -> MixedStats:
-    """Convex combination of own and reference per-bin statistics."""
-    if x_stats.mu.shape != ref_stats.mu.shape:
-        raise ShapeMismatchError(
-            f"stat lengths differ: {x_stats.mu.shape} vs {ref_stats.mu.shape}"
-        )
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidParameterError(f"lambda must be in [0,1], got {lam}")
-    mu = lam * x_stats.mu + (1.0 - lam) * ref_stats.mu
-    sigma = lam * x_stats.sigma + (1.0 - lam) * ref_stats.sigma
-    return MixedStats(mu=mu, sigma=sigma, lam=lam)
+    order = swapped[perm]
+    data = batch.data[order]
+    data.flags.writeable = False
+    return Batch(data, [tags[i] for i in order])
 
 
 def freq_mixstyle(
@@ -131,21 +98,19 @@ def freq_mixstyle(
         if np.any(lam_vec < 0) or np.any(lam_vec > 1):
             raise InvalidParameterError("lambda values must be in [0,1]")
 
-    x = batch.stack().astype(np.float64)
-    r = ref.stack().astype(np.float64)
-    mu_x = x.mean(axis=(1, 3))    # (N, F)
-    sd_x = x.std(axis=(1, 3))
-    mu_r = r.mean(axis=(1, 3))
-    sd_r = r.std(axis=(1, 3))
+    x = batch.data.astype(np.float64)
+    mu_x, var_x = bin_moments(x, (1, 3))  # (N, 1, F, 1)
+    mu_r, var_r = bin_moments(ref.data.astype(np.float64), (1, 3))
+    sd_x, sd_r = np.sqrt(var_x), np.sqrt(var_r)
 
-    w = lam_vec[:, None]
+    w = lam_vec[:, None, None, None]
     mu_mix = w * mu_x + (1.0 - w) * mu_r
     sd_mix = w * sd_x + (1.0 - w) * sd_r
 
-    def per_bin(a):  # (N, F) -> broadcastable over (N, C, F, T)
-        return a[:, None, :, None]
-
-    out = per_bin(sd_mix) * (x - per_bin(mu_x)) / (per_bin(sd_x) + cfg.eps)
-    out += per_bin(mu_mix)
-    maps = tuple(FeatureMap(out[i].astype(np.float32)) for i in range(n))
-    return Batch(maps=maps, tags=batch.tags)
+    x -= mu_x  # in place: x becomes sd_mix * (x - mu_x) / (sd_x + eps) + mu_mix
+    x *= sd_mix
+    x /= sd_x + cfg.eps
+    x += mu_mix
+    out = x.astype(np.float32)
+    out.flags.writeable = False
+    return Batch(out, batch.tags)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import FeatureMap
 from .errors import InvalidParameterError, ParseError, ShapeMismatchError
+from .stats import bin_moments
 
 
 @dataclass(frozen=True)
@@ -49,26 +50,21 @@ class NormGradients:
     d_input: np.ndarray
 
 
-def _bin_moments(x64: np.ndarray, eps: float):
-    mu = x64.mean(axis=(0, 2), keepdims=True)
-    var = x64.var(axis=(0, 2), keepdims=True)
-    s = np.sqrt(var + eps)
-    return mu, s
-
-
 def freq_in(fmap: FeatureMap, eps: float = 1e-5) -> FeatureMap:
     """Whiten each frequency bin: (x - mu_f) / sqrt(var_f + eps)."""
     if not eps > 0:
         raise InvalidParameterError(f"eps must be > 0, got {eps}")
     x = fmap.data.astype(np.float64)
-    mu, s = _bin_moments(x, eps)
+    mu, var = bin_moments(x, (0, 2))
+    s = np.sqrt(var + eps)
     return FeatureMap(((x - mu) / s).astype(np.float32))
 
 
 def ada_res_norm(fmap: FeatureMap, params: AdaResNormParams) -> FeatureMap:
     """Blend identity and whitened paths, then scale and shift."""
     x = fmap.data.astype(np.float64)
-    mu, s = _bin_moments(x, params.eps)
+    mu, var = bin_moments(x, (0, 2))
+    s = np.sqrt(var + params.eps)
     y = (x - mu) / s
     z = (params.a * x + (1.0 - params.a) * y) * params.b + params.c
     return FeatureMap(z.astype(np.float32))
@@ -95,7 +91,8 @@ def ada_res_norm_grad(
     x = fmap.data.astype(np.float64)
     u = u.astype(np.float64)
     a, b = params.a, params.b
-    mu, s = _bin_moments(x, params.eps)
+    mu, var = bin_moments(x, (0, 2))
+    s = np.sqrt(var + params.eps)
     y = (x - mu) / s
 
     d_c = u.sum()

@@ -1,8 +1,9 @@
 """Per-instance frequency-wise and channel-wise feature statistics.
 
 One mean/std pair per frequency bin (reduced over channel and time) or per
-channel (reduced over frequency and time). Std is the population form,
-consistent with the instance normalization in :mod:`sedtk.norm`.
+channel (reduced over frequency and time). Std is the population form.
+``bin_moments`` computes these moments for :mod:`sedtk.mixstyle` and
+:mod:`sedtk.norm` too.
 """
 
 from __future__ import annotations
@@ -31,20 +32,26 @@ class ChanStats:
     sigma: np.ndarray
 
 
+def bin_moments(x: np.ndarray, axis: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 mean and population variance of ``x`` over ``axis``.
+
+    Both keep the reduced axes (size 1), so they broadcast against ``x``.
+    """
+    mu = x.mean(axis=axis, dtype=np.float64, keepdims=True)
+    var = x.var(axis=axis, dtype=np.float64, keepdims=True)
+    return mu, var
+
+
 def freq_stats(fmap: FeatureMap) -> FreqStats:
     """Statistics over (channel, time) for each frequency bin."""
-    x = fmap.data
-    mu = x.mean(axis=(0, 2), dtype=np.float64)
-    sigma = x.std(axis=(0, 2), dtype=np.float64)
-    return FreqStats(mu=mu, sigma=sigma)
+    mu, var = bin_moments(fmap.data, (0, 2))
+    return FreqStats(mu=mu.ravel(), sigma=np.sqrt(var).ravel())
 
 
 def chan_stats(fmap: FeatureMap) -> ChanStats:
     """Statistics over (frequency, time) for each channel."""
-    x = fmap.data
-    mu = x.mean(axis=(1, 2), dtype=np.float64)
-    sigma = x.std(axis=(1, 2), dtype=np.float64)
-    return ChanStats(mu=mu, sigma=sigma)
+    mu, var = bin_moments(fmap.data, (1, 2))
+    return ChanStats(mu=mu.ravel(), sigma=np.sqrt(var).ravel())
 
 
 def export_stats(batch: Batch, which: str, path) -> int:

@@ -189,6 +189,41 @@ class TestFeaturesAndStats:
         wav_dir.mkdir()
         assert run(["features", "--in", str(wav_dir), "--out", str(tmp_path / "f.fmt")]) == 2
 
+    @staticmethod
+    def _wav_dir(tmp_path, seconds):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        rng = np.random.default_rng(3)
+        for i, s in enumerate(seconds):
+            wave = rng.normal(scale=0.1, size=int(s * 16000)).astype(np.float32)
+            write_wav(wav_dir / f"clip{i}.wav", AudioClip(wave, 16000), "pcm16")
+        return wav_dir
+
+    @pytest.mark.parametrize("pad", ["nan", "inf", "-1"])
+    def test_bad_pad_seconds_is_data_error(self, tmp_path, capsys, pad):
+        wav_dir = self._wav_dir(tmp_path, [0.5])
+        out = tmp_path / "f.fmt"
+        code = run(["features", "--in", str(wav_dir), "--out", str(out),
+                    "--n-mels", "16", f"--pad-seconds={pad}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: pad_to_seconds must be finite and >= 0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_clip_longer_than_pad_names_the_file(self, tmp_path, capsys):
+        wav_dir = self._wav_dir(tmp_path, [1.0, 2.0])
+        out = tmp_path / "f.fmt"
+        code = run(["features", "--in", str(wav_dir), "--out", str(out),
+                    "--n-mels", "16", "--pad-seconds", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert (
+            f"error: {wav_dir / 'clip1.wav'}: feature map has shape (1, 16, 126), "
+            f"but {wav_dir / 'clip0.wav'} has (1, 16, 63)"
+        ) in err
+        assert not out.exists()
+
 
 class TestPostprocessAndTune:
     def _scores_fixture(self, tmp_path):

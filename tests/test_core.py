@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from sedtk.core import (
+    Batch,
     DomainTag,
     FeatureMap,
     RandomSource,
@@ -64,11 +65,47 @@ class TestBatch:
         with pytest.raises(ValueError):
             fm.data[0, 0, 0] = 1.0
 
-    def test_stack_shape_and_dtype(self):
-        batch = make_batch(_maps([(2, 3, 4)] * 3), [DomainTag.DESED] * 3)
-        stacked = batch.stack()
-        assert stacked.shape == (3, 2, 3, 4)
-        assert stacked.dtype == np.float32
+    def test_data_is_one_read_only_array(self):
+        maps = _maps([(2, 3, 4)] * 3)
+        batch = make_batch(maps, [DomainTag.DESED] * 3)
+        assert batch.data.shape == (3, 2, 3, 4)
+        assert batch.data.dtype == np.float32
+        assert batch.data.flags.c_contiguous
+        assert not batch.data.flags.writeable
+        for fmap, original in zip(batch.maps, maps):
+            assert isinstance(fmap, FeatureMap)
+            assert np.shares_memory(fmap.data, batch.data)
+            assert not fmap.data.flags.writeable
+            np.testing.assert_array_equal(fmap.data, original.data)
+        with pytest.raises(ValueError):
+            batch.maps[1].data[0, 0, 0] = 1.0
+
+    def test_writeable_input_is_copied(self):
+        arr = np.zeros((2, 1, 2, 3), np.float32)
+        batch = Batch(arr, [DomainTag.DESED, DomainTag.MAESTRO])
+        arr[0, 0, 0, 0] = 5.0
+        assert batch.data[0, 0, 0, 0] == 0.0
+        assert arr.flags.writeable
+
+    def test_batch_rejects_nan_and_bad_rank(self):
+        bad = np.zeros((1, 1, 2, 3), np.float32)
+        bad[0, 0, 1, 2] = np.inf
+        with pytest.raises(InvalidParameterError):
+            Batch(bad, [DomainTag.DESED])
+        with pytest.raises(ShapeMismatchError):
+            Batch(np.zeros((1, 2, 3), np.float32), [DomainTag.DESED])
+
+    def test_maps_are_views_not_rebuilt(self, monkeypatch, tmp_path):
+        path = tmp_path / "b.fmt"
+        write_fmt(make_batch(_maps([(1, 2, 3)] * 2), [DomainTag.DESED] * 2), path)
+
+        def rebuilt(self):
+            raise AssertionError("FeatureMap was rebuilt and re-checked")
+
+        monkeypatch.setattr(FeatureMap, "__post_init__", rebuilt)
+        batch = read_fmt(path)
+        assert [m.shape for m in batch.maps] == [(1, 2, 3)] * 2
+        assert batch.maps is batch.maps
 
 
 class TestRandomSource:
@@ -199,6 +236,23 @@ class TestFmtFile:
         write_fmt(batch, path)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(ParseError):
+            read_fmt(path)
+
+    def test_read_does_not_copy_the_payload(self, tmp_path):
+        path = tmp_path / "b.fmt"
+        write_fmt(make_batch(_maps([(1, 2, 3)] * 2), [DomainTag.DESED] * 2), path)
+        back = read_fmt(path)
+        assert not back.data.flags.owndata
+        assert not back.data.flags.writeable
+
+    def test_nan_payload(self, tmp_path):
+        batch = make_batch(_maps([(1, 2, 2)]), [DomainTag.DESED])
+        path = tmp_path / "b.fmt"
+        write_fmt(batch, path)
+        raw = bytearray(path.read_bytes())
+        raw[24:28] = np.array([np.nan], "<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="NaN or Inf"):
             read_fmt(path)
 
     def test_bad_tag_byte(self, tmp_path):

@@ -19,7 +19,6 @@ from sedtk.metrics import (
     PsdsConfig,
     intersection_match,
     joint_score,
-    mpauc,
     mpauc_report,
     partial_roc_auc,
     psd_roc,
@@ -381,7 +380,6 @@ class TestMpauc:
         assert report["mpauc"] == pytest.approx(
             np.mean(list(report["per_class"].values()))
         )
-        assert mpauc(scores, labels, classes) == report["mpauc"]
 
     def test_against_per_class_oracle(self):
         scores, labels, classes = self._instance(seed=9)
@@ -408,7 +406,7 @@ class TestMpauc:
         scores, labels, classes = self._instance()
         labels.pop(("clip0", 5, "a"))
         with pytest.raises(InvalidParameterError):
-            mpauc(scores, labels, classes)
+            mpauc_report(scores, labels, classes)
 
 
 class TestJointScore:

@@ -1,17 +1,24 @@
 """Reference-batch construction and frequency-wise statistics mixing."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sedtk.core import DomainTag, FeatureMap, RandomSource, make_batch
-from sedtk.errors import ConfigInvalidError, InvalidParameterError, ShapeMismatchError
-from sedtk.mixstyle import (
-    MixStyleConfig,
-    freq_mixstyle,
-    make_reference_batch,
-    mix_statistics,
+from sedtk.core import (
+    DomainTag,
+    FeatureMap,
+    RandomSource,
+    beta_sample,
+    make_batch,
+    read_fmt,
+    write_fmt,
 )
-from sedtk.stats import FreqStats, freq_stats
+from sedtk.errors import ConfigInvalidError, InvalidParameterError
+from sedtk.mixstyle import MixStyleConfig, freq_mixstyle, make_reference_batch
+from sedtk.stats import freq_stats
 
 
 def _batch(n_desed, n_maestro, shape=(1, 6, 10), seed=0):
@@ -69,39 +76,6 @@ class TestReferenceBatch:
     def test_bad_permutation(self):
         with pytest.raises(InvalidParameterError):
             make_reference_batch(_batch(1, 1), RandomSource(0), permutation=[0, 0])
-
-
-class TestMixStatistics:
-    def test_lambda_one_endpoint(self):
-        x = FreqStats(np.array([1.0, 2.0]), np.array([0.5, 0.6]))
-        r = FreqStats(np.array([9.0, 9.0]), np.array([9.0, 9.0]))
-        mixed = mix_statistics(x, r, 1.0)
-        np.testing.assert_array_equal(mixed.mu, x.mu)
-        np.testing.assert_array_equal(mixed.sigma, x.sigma)
-
-    def test_lambda_zero_endpoint(self):
-        x = FreqStats(np.array([1.0, 2.0]), np.array([0.5, 0.6]))
-        r = FreqStats(np.array([9.0, 8.0]), np.array([7.0, 6.0]))
-        mixed = mix_statistics(x, r, 0.0)
-        np.testing.assert_array_equal(mixed.mu, r.mu)
-        np.testing.assert_array_equal(mixed.sigma, r.sigma)
-
-    def test_quarter_mix(self):
-        x = FreqStats(np.array([0.0, 4.0]), np.array([0.0, 0.0]))
-        r = FreqStats(np.array([4.0, 0.0]), np.array([0.0, 0.0]))
-        mixed = mix_statistics(x, r, 0.25)
-        np.testing.assert_allclose(mixed.mu, [3.0, 1.0])
-
-    def test_shape_mismatch(self):
-        x = FreqStats(np.zeros(3), np.zeros(3))
-        r = FreqStats(np.zeros(4), np.zeros(4))
-        with pytest.raises(ShapeMismatchError):
-            mix_statistics(x, r, 0.5)
-
-    def test_lambda_out_of_range(self):
-        x = FreqStats(np.zeros(3), np.zeros(3))
-        with pytest.raises(InvalidParameterError):
-            mix_statistics(x, x, 1.5)
 
 
 class TestFreqMixstyle:
@@ -198,3 +172,110 @@ class TestFreqMixstyle:
             MixStyleConfig(alpha=float("inf"))
         with pytest.raises(ConfigInvalidError):
             MixStyleConfig(eps=0.0)
+
+
+# The per-map implementation that the array path replaced, kept as the
+# reference: every item a separate FeatureMap, stacked and rebuilt per call.
+def _stack(maps):
+    return np.stack([m.data for m in maps]).astype(np.float32)
+
+
+def _make_reference_batch_per_map(batch, rng, permutation=None):
+    tags = batch.tags
+    n = len(batch)
+    split = n
+    for i, t in enumerate(tags):
+        if t == DomainTag.MAESTRO:
+            split = i
+            break
+    swapped = list(range(split, n)) + list(range(split))
+    perm = rng.permutation(n) if permutation is None else np.asarray(permutation)
+    order = [swapped[p] for p in perm]
+    return [batch.maps[i] for i in order], [batch.tags[i] for i in order]
+
+
+def _freq_mixstyle_per_map(batch, cfg, rng, lam=None, permutation=None):
+    if not rng.bernoulli(cfg.p):
+        return list(batch.maps), list(batch.tags)
+    n = len(batch)
+    ref_maps, _ = _make_reference_batch_per_map(batch, rng, permutation=permutation)
+    if lam is None:
+        lam_vec = beta_sample(rng, cfg.alpha, size=n)
+    else:
+        lam_vec = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,))
+
+    x = _stack(batch.maps).astype(np.float64)
+    r = _stack(ref_maps).astype(np.float64)
+    mu_x = x.mean(axis=(1, 3))
+    sd_x = x.std(axis=(1, 3))
+    mu_r = r.mean(axis=(1, 3))
+    sd_r = r.std(axis=(1, 3))
+
+    w = lam_vec[:, None]
+    mu_mix = w * mu_x + (1.0 - w) * mu_r
+    sd_mix = w * sd_x + (1.0 - w) * sd_r
+
+    def per_bin(a):
+        return a[:, None, :, None]
+
+    out = per_bin(sd_mix) * (x - per_bin(mu_x)) / (per_bin(sd_x) + cfg.eps)
+    out += per_bin(mu_mix)
+    return [FeatureMap(out[i].astype(np.float32)) for i in range(n)], list(batch.tags)
+
+
+@st.composite
+def _mix_case(draw):
+    """A DESED/MAESTRO batch, a config, a seed, and optionally pinned lam/permutation."""
+    n_desed = draw(st.integers(0, 4))
+    n_maestro = draw(st.integers(0 if n_desed else 1, 4))
+    n = n_desed + n_maestro
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    loc = draw(st.sampled_from([0.0, -40.0]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    data = rng.normal(loc, scale, size=(n, *shape))
+    if draw(st.booleans()):
+        data[:, :, 0, :] = -23.0  # a constant bin: sigma 0
+    tags = [DomainTag.DESED] * n_desed + [DomainTag.MAESTRO] * n_maestro
+    batch = make_batch([FeatureMap(d.astype(np.float32)) for d in data], tags)
+    cfg = MixStyleConfig(p=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                         alpha=draw(st.sampled_from([0.1, 0.6, 4.0])))
+    lam = draw(st.none() | st.floats(0.0, 1.0)
+               | st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    permutation = draw(st.none() | st.permutations(range(n)))
+    return batch, cfg, draw(st.integers(0, 2**64 - 1)), lam, permutation
+
+
+@pytest.fixture(scope="module")
+def fmt_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mix") / "out.fmt"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mix_case())
+def test_array_path_equals_per_map_reference(fmt_path, case):
+    batch, cfg, seed, lam, permutation = case
+    out = freq_mixstyle(batch, cfg, RandomSource(seed), lam=lam, permutation=permutation)
+    want_maps, want_tags = _freq_mixstyle_per_map(
+        batch, cfg, RandomSource(seed), lam=lam, permutation=permutation
+    )
+    assert np.array_equal(out.data, _stack(want_maps))
+    assert list(out.tags) == want_tags
+
+    ref = make_reference_batch(batch, RandomSource(seed), permutation=permutation)
+    ref_maps, ref_tags = _make_reference_batch_per_map(
+        batch, RandomSource(seed), permutation=permutation
+    )
+    assert np.array_equal(ref.data, _stack(ref_maps))
+    assert list(ref.tags) == ref_tags
+
+    write_fmt(out, fmt_path)
+    written = fmt_path.read_bytes()
+    assert written == (
+        b"FMT1" + struct.pack("<4I", len(out), *out.shape)
+        + _stack(want_maps).astype("<f4").tobytes() + bytes(int(t) for t in want_tags)
+    )
+    back = read_fmt(fmt_path)
+    assert np.array_equal(back.data, out.data) and back.tags == out.tags
+    write_fmt(back, fmt_path)
+    assert fmt_path.read_bytes() == written

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sedtk.core import DomainTag, FeatureMap, make_batch
 from sedtk.errors import InvalidParameterError
-from sedtk.stats import chan_stats, export_stats, freq_stats
+from sedtk.stats import bin_moments, chan_stats, export_stats, freq_stats
 
 
 def _loop_freq_stats(data):
@@ -31,6 +31,24 @@ def _loop_chan_stats(data):
         mu[ci] = sum(vals) / len(vals)
         sigma[ci] = (sum((v - mu[ci]) ** 2 for v in vals) / len(vals)) ** 0.5
     return mu, sigma
+
+
+def test_bin_moments_of_a_batch_equal_per_item_stats():
+    rng = np.random.default_rng(5)
+    data = rng.normal(3.0, 2.0, size=(3, 2, 4, 600)).astype(np.float32)
+    mu, var = bin_moments(data, (1, 3))
+    assert mu.shape == var.shape == (3, 1, 4, 1)
+    assert mu.dtype == var.dtype == np.float64
+    for i in range(3):
+        x = data[i]
+        st_ = freq_stats(FeatureMap(x))
+        np.testing.assert_array_equal(st_.mu, x.mean(axis=(0, 2), dtype=np.float64))
+        np.testing.assert_array_equal(st_.sigma, x.std(axis=(0, 2), dtype=np.float64))
+        np.testing.assert_allclose(mu[i].ravel(), st_.mu, rtol=1e-12)
+        np.testing.assert_allclose(np.sqrt(var[i]).ravel(), st_.sigma, rtol=1e-12)
+        ch = chan_stats(FeatureMap(x))
+        np.testing.assert_array_equal(ch.mu, x.mean(axis=(1, 2), dtype=np.float64))
+        np.testing.assert_array_equal(ch.sigma, x.std(axis=(1, 2), dtype=np.float64))
 
 
 class TestFreqStats:
