@@ -71,6 +71,23 @@ print("\n--- evaluation report ---")
 assert run(["evaluate", "--events", str(events_tsv), "--truth", str(truth_tsv),
             "--durations", str(durs_tsv), "--psds"]) == 0
 
+# Segment level: the one-second maximum of each clip's frame posteriors
+# against hard labels on the same grid (clips 0 and 1 hot, clip 2 cold).
+seg_scores_csv = work / "seg_scores.csv"
+seg_truth_csv = work / "seg_truth.csv"
+write_scores([
+    ScoreTrack(scores=tr.scores.max(axis=1, keepdims=True), hop_seconds=1.0,
+               class_names=tr.class_names, clip_id=tr.clip_id)
+    for tr in tracks
+], seg_scores_csv)
+write_scores([
+    ScoreTrack(scores=np.array([[hot], [1.0 - hot]]), hop_seconds=1.0,
+               class_names=("hot", "cold"), clip_id=f"clip{i}")
+    for i, hot in enumerate((1.0, 1.0, 0.0))
+], seg_truth_csv)
+assert run(["evaluate", "--segscores", str(seg_scores_csv), "--segtruth", str(seg_truth_csv),
+            "--mpauc"]) == 0
+
 print("\nartifacts under", work)
 for p in sorted(work.rglob("*")):
     if p.is_file():

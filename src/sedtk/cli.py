@@ -21,6 +21,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import dataio, metrics, mixstyle, sebb, stats
 from .core import DomainTag, RandomSource, make_batch, read_fmt, write_fmt
 from .errors import ParseError, SedtkError, UsageError
@@ -284,8 +286,37 @@ def _read_score_rows(path) -> list[sebb.ScoreTrack]:
     return tracks
 
 
+def _segment_arrays(score_tracks, truth_tracks, scores_path, truth_path):
+    """Aligned (cells, K) segment scores and bool labels, and the K score classes.
+
+    Both files must hold the same clips with the same frame counts and hop,
+    and every score class must be a truth class; a breach is a ``ParseError``
+    on ``scores_path``. Cells run over clips in sorted order, then frames.
+    """
+    classes, truth_classes = score_tracks[0].class_names, truth_tracks[0].class_names
+    hop, truth_hop = score_tracks[0].hop_seconds, truth_tracks[0].hop_seconds
+    scores = {tr.clip_id: tr.scores.T for tr in score_tracks}
+    soft = {tr.clip_id: tr.scores.T for tr in truth_tracks}
+    breaches = [f"hop_seconds={hop:.9g} but {truth_hop:.9g}"] if hop != truth_hop else []
+    breaches += [
+        f"clip {clip!r} has {n} frames here but {m}"
+        for clip in sorted(scores.keys() | soft.keys())
+        if (n := len(scores.get(clip, ()))) != (m := len(soft.get(clip, ())))
+    ]
+    breaches += [f"class {c!r} is not a class" for c in classes if c not in truth_classes]
+    if breaches:
+        raise ParseError(f"{breaches[0]} in {truth_path}", path=scores_path)
+    labels = metrics.segmentize(soft, truth_classes)
+    columns = [truth_classes.index(cls) for cls in classes]
+    seg_scores = np.concatenate([scores[clip] for clip in labels])
+    return seg_scores, np.concatenate([g[:, columns] for g in labels.values()]), classes
+
+
 def cmd_evaluate(args, cfg) -> int:
     max_fpr = _resolve(args, cfg, "max_fpr", 0.1, float)
+    if not 0 < max_fpr <= 1:  # False for NaN
+        where = "--max-fpr" if args.max_fpr is not None else f"{cfg['max_fpr'][1]}: max_fpr"
+        raise UsageError(f"{where} must be in (0, 1], got {max_fpr}")
     _log_config("evaluate", {
         "events": args.events, "truth": args.truth, "durations": args.durations,
         "psds": args.psds, "segscores": args.segscores,
@@ -314,34 +345,13 @@ def cmd_evaluate(args, cfg) -> int:
     if args.mpauc:
         if not (args.segscores and args.segtruth):
             raise UsageError("--mpauc needs --segscores and --segtruth")
-        score_tracks = _read_score_rows(args.segscores)
-        truth_tracks = _read_score_rows(args.segtruth)
-        seg_scores = {}
-        for tr in score_tracks:
-            for k, cls in enumerate(tr.class_names):
-                for t in range(tr.n_frames):
-                    seg_scores[(tr.clip_id, t, cls)] = float(tr.scores[k, t])
-        soft = {}
-        durations = {}
-        for tr in truth_tracks:
-            durations[tr.clip_id] = tr.n_frames * tr.hop_seconds
-            for k, cls in enumerate(tr.class_names):
-                for t in range(tr.n_frames):
-                    soft[(tr.clip_id, t, cls)] = float(tr.scores[k, t])
-        truth = metrics.AnnotationSet(
-            clip_durations=durations, soft_labels=soft
-        )
-        labels = metrics.segmentize(
-            truth,
-            classes=truth_tracks[0].class_names,
-            segment_s=truth_tracks[0].hop_seconds,
+        scores, labels, classes = _segment_arrays(
+            _read_score_rows(args.segscores), _read_score_rows(args.segtruth),
+            args.segscores, args.segtruth,
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = metrics.mpauc_report(
-                seg_scores, labels,
-                classes=score_tracks[0].class_names, max_fpr=max_fpr,
-            )
+            report = metrics.mpauc_report(scores, labels, classes, max_fpr)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
         mpauc_value = report["mpauc"]

@@ -35,11 +35,11 @@ class DomainTag(IntEnum):
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Immutable real-valued array indexed (channel, frequency, time)."""
+    """Immutable float32 array indexed (channel, frequency, time); copies its input."""
 
     data: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         arr = np.ascontiguousarray(self.data, dtype=STORAGE_DTYPE)
         if arr.ndim != 3:
             raise ShapeMismatchError(f"feature map must be 3-D (C,F,T), got ndim={arr.ndim}")
@@ -47,9 +47,16 @@ class FeatureMap:
             raise ShapeMismatchError(f"feature map dims must all be >= 1, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise InvalidParameterError("feature map contains NaN or Inf")
-        arr = arr.copy() if arr is self.data else arr
+        arr = arr.copy() if copy and arr is self.data else arr
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> "FeatureMap":
+        """Check a fresh array no one else holds and take it without a copy."""
+        fmap = cls._view(arr)
+        fmap.__post_init__(copy=False)
+        return fmap
 
     @classmethod
     def _view(cls, arr: np.ndarray) -> "FeatureMap":

@@ -186,9 +186,9 @@ def read_scores(path) -> list[ScoreTrack]:
     if header_idx is None:
         raise ParseError("missing header row", path=path, line=len(lines))
     header = lines[header_idx].split(",")
-    if len(header) < 3 or header[0] != "clip_id" or header[1] != "frame":
+    if len(header) < 3 or header[:2] != ["clip_id", "frame"] or len(set(header)) < len(header):
         raise ParseError(
-            "header must be clip_id,frame,<class names>",
+            "header must be clip_id,frame,<distinct class names>",
             path=path, line=header_idx + 1,
         )
     class_names = tuple(header[2:])

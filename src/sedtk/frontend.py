@@ -204,7 +204,7 @@ def log_mel(clip: AudioClip, cfg: MelConfig) -> FeatureMap:
 
     mel = filterbank @ spec.T  # (n_mels, T)
     out = np.log(np.maximum(mel, cfg.log_floor))
-    return FeatureMap(out[None, :, :].astype(np.float32))
+    return FeatureMap._own(out[None, :, :].astype(np.float32))
 
 
 # --- WAV ingestion (RIFF/WAVE, little-endian PCM 16/24/32 and float32) ---

@@ -8,10 +8,10 @@ of (false positives per hour, class-averaged TPR minus alpha_st times its
 std); PSDS is the normalized area under that staircase up to e_max.
 
 Segment side: 1-second segments are labelled from event truth or from soft
-labels hardened at 0.5; per class a ROC partial area up to max_fpr is
-computed with trapezoidal interpolation at the cut and standardized so
-that chance maps to 0.5 and perfect ranking to 1.0 (switchable to the raw
-area divided by max_fpr). The macro average over classes is mpAUC.
+labels hardened at 0.5, one bool (segments, classes) array per clip. Over
+aligned (cells, classes) arrays, each class gets a ROC partial area up to
+max_fpr, interpolated at the cut and standardized so that chance maps to
+0.5 and perfect ranking to 1.0. The macro average over classes is mpAUC.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from .errors import (
     InvalidParameterError,
     NoTruthEventsWarning,
 )
+
+HARD_THRESHOLD = 0.5  # a soft segment label at or above this is positive
+SEGMENT_S = 1.0  # segment length in seconds for event truth
 
 
 @dataclass(frozen=True)
@@ -54,15 +57,10 @@ class Event:
 
 @dataclass
 class AnnotationSet:
-    """Ground truth: hard event lists, clip durations, optional soft labels.
-
-    ``soft_labels`` maps (clip_id, segment_index, class_name) to a value in
-    [0, 1] on a 1-second grid.
-    """
+    """Ground truth: hard event lists and clip durations."""
 
     events: list[Event] = field(default_factory=list)
     clip_durations: dict[str, float] = field(default_factory=dict)
-    soft_labels: dict[tuple[str, int, str], float] | None = None
 
     def __post_init__(self):
         for clip, dur in self.clip_durations.items():
@@ -75,17 +73,6 @@ class AnnotationSet:
                     f"event {ev.class_name} [{ev.onset_s}, {ev.offset_s}) exceeds "
                     f"duration {dur} of clip {ev.clip_id!r}"
                 )
-        if self.soft_labels is not None:
-            for key, v in self.soft_labels.items():
-                if not 0.0 <= v <= 1.0:
-                    raise InvalidParameterError(f"soft label {key} = {v} not in [0,1]")
-
-    @property
-    def classes(self) -> list[str]:
-        names = {e.class_name for e in self.events}
-        if self.soft_labels:
-            names |= {k[2] for k in self.soft_labels}
-        return sorted(names)
 
 
 @dataclass(frozen=True)
@@ -333,41 +320,42 @@ def psds(curve: Sequence[tuple[float, float]], cfg: PsdsConfig = PsdsConfig()) -
 
 
 def segmentize(
-    truth: AnnotationSet,
-    classes: Sequence[str] | None = None,
-    segment_s: float = 1.0,
-    hard_threshold: float = 0.5,
-) -> dict[tuple[str, int, str], int]:
-    """Binary per-(clip, segment, class) labels on a fixed segment grid.
+    truth: AnnotationSet | Mapping[str, np.ndarray],
+    classes: Sequence[str],
+) -> dict[str, np.ndarray]:
+    """One bool (n_segments, len(classes)) label array per clip, clips sorted.
 
-    Event truth marks a segment positive when the event overlaps it with
-    positive measure; soft truth (when present) marks it positive when the
-    value is >= hard_threshold. The final partial segment of each clip is
-    included. Every grid cell receives exactly one label.
+    Event truth (an ``AnnotationSet``) labels the SEGMENT_S segments of its
+    clip durations, final partial segment included: one is positive where an event
+    overlaps it with positive measure. Soft truth maps each clip id to an
+    (n_segments, len(classes)) array in [0, 1]: values >= HARD_THRESHOLD
+    are positive.
     """
-    if classes is None:
-        classes = truth.classes
-    labels: dict[tuple[str, int, str], int] = {}
-    for clip, dur in sorted(truth.clip_durations.items()):
-        n_seg = max(1, math.ceil(dur / segment_s - 1e-12))
-        for seg in range(n_seg):
-            for cls in classes:
-                labels[(clip, seg, cls)] = 0
-    if truth.soft_labels is not None:
-        for (clip, seg, cls), v in truth.soft_labels.items():
-            if (clip, seg, cls) in labels and v >= hard_threshold:
-                labels[(clip, seg, cls)] = 1
-    else:
-        for ev in truth.events:
-            if ev.class_name not in classes:
-                continue
-            first = int(ev.onset_s // segment_s)
-            last = int(math.ceil(ev.offset_s / segment_s))
-            for seg in range(first, last):
-                key = (ev.clip_id, seg, ev.class_name)
-                lo, hi = seg * segment_s, (seg + 1) * segment_s
-                if key in labels and _overlap(ev.onset_s, ev.offset_s, lo, hi) > 0:
-                    labels[key] = 1
+    if not isinstance(truth, AnnotationSet):
+        labels = {}
+        for clip, values in sorted(truth.items()):
+            v = np.asarray(values, dtype=np.float64)
+            if v.ndim != 2 or v.shape[1] != len(classes) or not ((v >= 0) & (v <= 1)).all():
+                raise InvalidParameterError(
+                    f"soft labels of {clip!r} must be an (n_segments, {len(classes)}) "
+                    f"array in [0, 1], got shape {v.shape}"
+                )
+            labels[clip] = v >= HARD_THRESHOLD
+        return labels
+    labels = {
+        clip: np.zeros((max(1, math.ceil(dur / SEGMENT_S - 1e-12)), len(classes)), bool)
+        for clip, dur in sorted(truth.clip_durations.items())
+    }
+    column = {cls: k for k, cls in enumerate(classes)}
+    for ev in truth.events:
+        grid, k = labels.get(ev.clip_id), column.get(ev.class_name)
+        if grid is None or k is None:
+            continue
+        first = max(0, int(ev.onset_s // SEGMENT_S))
+        last = min(int(math.ceil(ev.offset_s / SEGMENT_S)), len(grid))
+        for seg in range(first, last):
+            if _overlap(ev.onset_s, ev.offset_s, seg * SEGMENT_S, (seg + 1) * SEGMENT_S) > 0:
+                grid[seg, k] = True
     return labels
 
 
@@ -421,40 +409,32 @@ def partial_roc_auc(
     return 0.5 * (1.0 + (pauc - min_area) / (max_area - min_area))
 
 
-def mpauc_report(
-    segment_scores: Mapping[tuple[str, int, str], float],
-    segment_labels: Mapping[tuple[str, int, str], int],
-    classes: Sequence[str] | None = None,
-    max_fpr: float = 0.1,
-    standardize: bool = True,
-) -> dict:
+def mpauc_report(scores, labels, classes: Sequence[str], max_fpr: float = 0.1) -> dict:
     """Per-class partial AUCs plus the macro average.
 
-    Every scored (clip, segment, class) cell must have a label. Classes
-    lacking positives or negatives are excluded from the macro mean and
-    reported under ``excluded``.
+    ``scores`` (float) and ``labels`` (bool) are aligned (cells, K) arrays
+    whose column k belongs to ``classes[k]``. Classes lacking positives or
+    negatives are excluded from the macro mean and reported under
+    ``excluded``.
     """
-    if classes is None:
-        classes = sorted({k[2] for k in segment_labels})
-    missing = [k for k in segment_scores if k not in segment_labels]
-    if missing:
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    if y.dtype != bool or s.ndim != 2 or s.shape != y.shape or s.shape[1] != len(classes):
         raise InvalidParameterError(
-            f"{len(missing)} scored segments lack labels, e.g. {missing[0]}"
+            f"need float scores and bool labels of one shape (cells, {len(classes)}), "
+            f"got {s.shape} and {y.dtype} {y.shape}"
         )
     per_class: dict[str, float] = {}
     excluded: list[str] = []
-    for cls in classes:
-        keys = sorted(k for k in segment_scores if k[2] == cls)
-        y = np.array([segment_labels[k] for k in keys])
-        s = np.array([segment_scores[k] for k in keys])
-        if y.size == 0 or y.all() or not y.any():
+    for k, cls in enumerate(classes):
+        if y[:, k].all() or not y[:, k].any():  # also true for zero cells
             excluded.append(cls)
             warnings.warn(
                 f"class {cls!r} lacks positives or negatives; excluded",
                 DegenerateClassWarning,
             )
             continue
-        per_class[cls] = partial_roc_auc(y, s, max_fpr, standardize)
+        per_class[cls] = partial_roc_auc(y[:, k], s[:, k], max_fpr)
     if not per_class:
         raise InvalidParameterError("no class has both positives and negatives")
     macro = float(np.mean(list(per_class.values())))

@@ -57,7 +57,7 @@ def freq_in(fmap: FeatureMap, eps: float = 1e-5) -> FeatureMap:
     x = fmap.data.astype(np.float64)
     mu, var = bin_moments(x, (0, 2))
     s = np.sqrt(var + eps)
-    return FeatureMap(((x - mu) / s).astype(np.float32))
+    return FeatureMap._own(((x - mu) / s).astype(np.float32))
 
 
 def ada_res_norm(fmap: FeatureMap, params: AdaResNormParams) -> FeatureMap:
@@ -67,7 +67,7 @@ def ada_res_norm(fmap: FeatureMap, params: AdaResNormParams) -> FeatureMap:
     s = np.sqrt(var + params.eps)
     y = (x - mu) / s
     z = (params.a * x + (1.0 - params.a) * y) * params.b + params.c
-    return FeatureMap(z.astype(np.float32))
+    return FeatureMap._own(z.astype(np.float32))
 
 
 def ada_res_norm_grad(

@@ -115,6 +115,54 @@ class TestEvaluate:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "scores_clips, score_hop, score_classes, named",
+        [
+            ({"a": 10}, 1.0, ("dog", "cat"), "'b'"),  # truth clip without scores
+            ({"a": 10, "b": 8}, 1.0, ("dog", "cat"), "'b'"),  # shorter score track
+            ({"a": 10, "b": 10}, 0.5, ("dog", "cat"), "hop_seconds=0.5"),
+            ({"a": 10, "b": 10, "c": 10}, 1.0, ("dog", "cat"), "'c'"),  # clip without truth
+            ({"a": 10, "b": 12}, 1.0, ("dog", "cat"), "'b'"),  # longer score track
+            ({"a": 10, "b": 10}, 1.0, ("dog", "bird"), "'bird'"),  # unknown class
+        ],
+    )
+    def test_misaligned_segment_files_are_data_error(
+        self, tmp_path, capsys, scores_clips, score_hop, score_classes, named
+    ):
+        rng = np.random.default_rng(2)
+        truth = [
+            ScoreTrack(np.tile([0.0, 1.0], (2, 5)), 1.0, ("dog", "cat"), clip)
+            for clip in ("a", "b")
+        ]
+        scores = [
+            ScoreTrack(rng.uniform(size=(2, n)), score_hop, score_classes, clip)
+            for clip, n in scores_clips.items()
+        ]
+        seg_scores, seg_truth = tmp_path / "seg.csv", tmp_path / "seg_truth.csv"
+        write_scores(scores, seg_scores)
+        write_scores(truth, seg_truth)
+        code = run([
+            "evaluate", "--mpauc", "--segscores", str(seg_scores), "--segtruth", str(seg_truth),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines()[-1].startswith(f"error: {seg_scores}: ")
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0", "nan", "1.5", "-0.1"])
+    def test_bad_max_fpr_flag_is_usage_error(self, tmp_path, capsys, value):
+        missing = tmp_path / "missing.csv"  # the value is checked before any file is read
+        code = run([
+            "evaluate", "--mpauc", "--segscores", str(missing), "--segtruth", str(missing),
+            "--max-fpr", value,
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "usage error: --max-fpr must be in (0, 1]" in captured.err
+        assert captured.out == ""
+
     def test_needs_a_metric_flag(self, tmp_path):
         assert run(["evaluate"]) == 1
 
@@ -302,6 +350,9 @@ class TestPostprocessAndTune:
             ("postprocess", "--thresholds-file", "dog\t1.5\n", 1),
             ("postprocess", "--thresholds-file", "Speech\t0.3\ndog\tnan\n", 2),
             ("features", "--config", "n_mels=16\ndomain=foo\n", 2),
+            ("evaluate", "--config", "max_fpr=0\n", 1),
+            ("evaluate", "--config", "# cap\nmax_fpr=nan\n", 2),
+            ("evaluate", "--config", "max_fpr=1.5\n", 1),
         ],
     )
     def test_bad_file_value_is_usage_error(
@@ -322,6 +373,8 @@ class TestPostprocessAndTune:
             "postprocess": ["postprocess", "--scores", str(scores),
                             "--out", str(tmp_path / "ev.tsv")],
             "features": ["features", "--in", str(wav_dir), "--out", str(tmp_path / "f.fmt")],
+            "evaluate": ["evaluate", "--mpauc", "--segscores", str(tmp_path / "missing.csv"),
+                         "--segtruth", str(tmp_path / "missing.csv")],
         }[command]
         code = run(argv + [flag, str(values)])
         captured = capsys.readouterr()

@@ -20,6 +20,8 @@ from sedtk.errors import (
     ParseError,
     ShapeMismatchError,
 )
+from sedtk.frontend import AudioClip, MelConfig, log_mel
+from sedtk.norm import ada_res_norm, freq_in, init_params
 
 # First Beta(0.6, 0.6) draw for seed 42. Distributional correctness of the
 # sampler is established by the KS test below against scipy's analytic CDF;
@@ -86,6 +88,53 @@ class TestBatch:
         arr[0, 0, 0, 0] = 5.0
         assert batch.data[0, 0, 0, 0] == 0.0
         assert arr.flags.writeable
+
+    def test_feature_map_copies_writeable_input(self):
+        arr = np.zeros((1, 2, 3), np.float32)
+        fmap = FeatureMap(arr)
+        assert not np.shares_memory(fmap.data, arr)
+        arr[0, 0, 0] = 5.0
+        assert fmap.data[0, 0, 0] == 0.0
+        assert arr.flags.writeable
+        assert not fmap.data.flags.writeable
+
+    def test_feature_map_copies_read_only_view(self):
+        base = np.zeros((1, 2, 3), np.float32)
+        view = base.view()
+        view.flags.writeable = False
+        fmap = FeatureMap(view)
+        assert not np.shares_memory(fmap.data, base)
+        base[0, 0, 0] = 5.0
+        assert fmap.data[0, 0, 0] == 0.0
+
+    def test_own_takes_array_without_copy_and_checks_it(self):
+        arr = np.zeros((1, 2, 3), np.float32)
+        fmap = FeatureMap._own(arr)
+        assert fmap.data is arr
+        assert not arr.flags.writeable
+        bad = np.zeros((1, 2, 3), np.float32)
+        bad[0, 1, 2] = np.nan
+        with pytest.raises(InvalidParameterError):
+            FeatureMap._own(bad)
+        with pytest.raises(ShapeMismatchError):
+            FeatureMap._own(np.zeros((2, 3), np.float32))
+
+    def test_producers_hand_over_their_output_without_a_copy(self, monkeypatch):
+        given = []
+        check = FeatureMap.__post_init__
+
+        def spy(self, **kwargs):
+            given.append(self.data)
+            check(self, **kwargs)
+
+        monkeypatch.setattr(FeatureMap, "__post_init__", spy)
+        clip = AudioClip(np.sin(np.arange(4000) / 7.0).astype(np.float32), 16000)
+        fmap = log_mel(clip, MelConfig(n_mels=16, pad_to_seconds=0.0))
+        outputs = [fmap, freq_in(fmap), ada_res_norm(fmap, init_params("neutral"))]
+        assert len(given) == 3
+        for out, arr in zip(outputs, given):
+            assert out.data is arr
+            assert not arr.flags.writeable
 
     def test_batch_rejects_nan_and_bad_rank(self):
         bad = np.zeros((1, 1, 2, 3), np.float32)

@@ -195,6 +195,14 @@ class TestScores:
         with pytest.raises(ParseError):
             read_scores(path)
 
+    @pytest.mark.parametrize("header", ["clip_id,frame,dog,dog", "clip_id,frame,frame"])
+    def test_repeated_header_name_rejected(self, tmp_path, header):
+        path = tmp_path / "s.csv"
+        path.write_text(f"# hop_seconds=0.02\n{header}\nc0,0,0.5,0.5\n")
+        with pytest.raises(ParseError) as err:
+            read_scores(path)
+        assert err.value.line == 2
+
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("# hop_seconds=0.02\nclip_id,frame,dog\nc0,0\n")

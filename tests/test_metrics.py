@@ -1,5 +1,6 @@
 """Intersection matching, PSDS staircases, segment labels, partial AUC."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sedtk.cli import _segment_arrays
 from sedtk.errors import (
     DegenerateClassWarning,
     InvalidIntervalError,
@@ -25,6 +27,7 @@ from sedtk.metrics import (
     psds,
     segmentize,
 )
+from sedtk.sebb import ScoreTrack
 
 
 def _brute_partial_auc(y, s, max_fpr, standardize=True):
@@ -280,36 +283,52 @@ class TestSegmentize:
         truth = AnnotationSet(
             events=[Event("a", "dog", 0.2, 2.5)], clip_durations={"a": 10.0}
         )
-        labels = segmentize(truth)
-        positives = sorted(k[1] for k, v in labels.items() if v)
-        assert positives == [0, 1, 2]
+        labels = segmentize(truth, ["dog"])
+        assert np.flatnonzero(labels["a"][:, 0]).tolist() == [0, 1, 2]
 
     def test_soft_threshold_boundary(self):
-        truth = AnnotationSet(
-            clip_durations={"a": 2.0},
-            soft_labels={("a", 0, "dog"): 0.5, ("a", 1, "dog"): 0.49},
-        )
-        labels = segmentize(truth, classes=["dog"])
-        assert labels[("a", 0, "dog")] == 1
-        assert labels[("a", 1, "dog")] == 0
+        labels = segmentize({"a": np.array([[0.5], [0.49]])}, classes=["dog"])
+        assert labels["a"].dtype == bool
+        assert labels["a"][:, 0].tolist() == [True, False]
 
     def test_total_and_deterministic(self):
         truth = AnnotationSet(
             events=[Event("a", "dog", 0.0, 1.0)],
-            clip_durations={"a": 4.5, "b": 2.0},
+            clip_durations={"b": 2.0, "a": 4.5},
         )
         labels = segmentize(truth, classes=["dog", "cat"])
-        # final partial segment included: ceil(4.5) = 5 segments for "a"
-        assert len(labels) == (5 + 2) * 2
-        assert labels == segmentize(truth, classes=["dog", "cat"])
+        # clips sorted; final partial segment included: ceil(4.5) = 5 segments for "a"
+        assert list(labels) == ["a", "b"]
+        assert labels["a"].shape == (5, 2) and labels["b"].shape == (2, 2)
+        assert labels["a"].sum() == 1 and labels["a"][0, 0]
+        again = segmentize(truth, classes=["dog", "cat"])
+        assert all(np.array_equal(labels[c], again[c]) for c in labels)
 
     def test_event_touching_segment_boundary_not_positive(self):
         truth = AnnotationSet(
             events=[Event("a", "dog", 1.0, 2.0)], clip_durations={"a": 4.0}
         )
-        labels = segmentize(truth)
-        assert labels[("a", 2, "dog")] == 0
-        assert labels[("a", 1, "dog")] == 1
+        labels = segmentize(truth, ["dog"])
+        assert not labels["a"][2, 0]
+        assert labels["a"][1, 0]
+
+    def test_events_over_the_clip_edges_stay_on_the_grid(self):
+        truth = AnnotationSet(
+            events=[Event("a", "dog", -0.5, 0.5), Event("a", "cat", 3.5, 4.0 + 5e-10)],
+            clip_durations={"a": 4.0},
+        )
+        labels = segmentize(truth, ["dog", "cat"])
+        assert labels["a"].tolist() == [[True, False], [False, False], [False, False],
+                                        [False, True]]
+
+    def test_soft_labels_need_one_column_per_class(self):
+        with pytest.raises(InvalidParameterError):
+            segmentize({"a": np.zeros((3, 2))}, ["dog"])
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+    def test_soft_label_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(InvalidParameterError):
+            segmentize({"a": np.array([[0.2], [bad]])}, ["dog"])
 
 
 class TestPartialAuc:
@@ -359,19 +378,11 @@ class TestPartialAuc:
 
 
 class TestMpauc:
-    def _instance(self, seed=0, n_clips=2, n_seg=20, classes=("a", "b", "c")):
+    def _instance(self, seed=0, n_cells=40, classes=("a", "b", "c")):
         rng = np.random.default_rng(seed)
-        scores, labels = {}, {}
-        for clip in range(n_clips):
-            for seg in range(n_seg):
-                for cls in classes:
-                    key = (f"clip{clip}", seg, cls)
-                    scores[key] = float(rng.uniform())
-                    labels[key] = int(rng.integers(0, 2))
-        # force both polarities per class
-        for i, cls in enumerate(classes):
-            labels[("clip0", 0, cls)] = 0
-            labels[("clip0", 1, cls)] = 1
+        scores = rng.uniform(size=(n_cells, len(classes)))
+        labels = rng.integers(0, 2, size=scores.shape).astype(bool)
+        labels[0], labels[1] = False, True  # force both polarities per class
         return scores, labels, list(classes)
 
     def test_macro_is_mean_of_per_class(self):
@@ -384,29 +395,146 @@ class TestMpauc:
     def test_against_per_class_oracle(self):
         scores, labels, classes = self._instance(seed=9)
         report = mpauc_report(scores, labels, classes)
-        for cls in classes:
-            keys = sorted(k for k in scores if k[2] == cls)
-            y = np.array([labels[k] for k in keys])
-            s = np.array([scores[k] for k in keys])
+        for k, cls in enumerate(classes):
             assert report["per_class"][cls] == pytest.approx(
-                _brute_partial_auc(y, s, 0.1), abs=1e-9
+                _brute_partial_auc(labels[:, k], scores[:, k], 0.1), abs=1e-9
             )
 
     def test_degenerate_class_excluded_with_warning(self):
         scores, labels, classes = self._instance()
-        for key in list(labels):
-            if key[2] == "c":
-                labels[key] = 1
+        labels[:, 2] = True
         with pytest.warns(DegenerateClassWarning):
             report = mpauc_report(scores, labels, classes)
         assert report["excluded"] == ["c"]
         assert set(report["per_class"]) == {"a", "b"}
 
-    def test_missing_label_rejected(self):
+    def test_cell_order_does_not_change_values(self):
+        scores, labels, classes = self._instance(seed=5, n_cells=200)
+        scores = np.round(scores, 1)  # many tied scores
+        report = mpauc_report(scores, labels, classes, max_fpr=0.3)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            order = rng.permutation(len(scores))
+            assert mpauc_report(scores[order], labels[order], classes, max_fpr=0.3) == report
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda s, y, c: (s, y[:-1], c),  # one cell without a label
+            lambda s, y, c: (s[:, :2], y[:, :2], c),  # three classes, two columns
+            lambda s, y, c: (s[:, 0], y[:, 0], c[:1]),  # 1-D
+            lambda s, y, c: (s, y.astype(float), c),  # labels not bool
+        ],
+    )
+    def test_shape_mismatch_rejected(self, change):
         scores, labels, classes = self._instance()
-        labels.pop(("clip0", 5, "a"))
         with pytest.raises(InvalidParameterError):
-            mpauc_report(scores, labels, classes)
+            mpauc_report(*change(scores, labels, classes))
+
+
+def _parent_mpauc(score_tracks, truth_tracks, max_fpr=0.1):
+    """The per-cell dict path that ``evaluate --mpauc`` used before the
+    array path: the CLI's dicts, soft ``segmentize`` and ``mpauc_report``."""
+    seg_scores = {}
+    for tr in score_tracks:
+        for k, cls in enumerate(tr.class_names):
+            for t in range(tr.n_frames):
+                seg_scores[(tr.clip_id, t, cls)] = float(tr.scores[k, t])
+    soft, durations = {}, {}
+    for tr in truth_tracks:
+        durations[tr.clip_id] = tr.n_frames * tr.hop_seconds
+        for k, cls in enumerate(tr.class_names):
+            for t in range(tr.n_frames):
+                soft[(tr.clip_id, t, cls)] = float(tr.scores[k, t])
+    segment_s = truth_tracks[0].hop_seconds
+    labels = {}
+    for clip, dur in sorted(durations.items()):
+        for seg in range(max(1, math.ceil(dur / segment_s - 1e-12))):
+            for cls in truth_tracks[0].class_names:
+                labels[(clip, seg, cls)] = 0
+    for key, v in soft.items():
+        if key in labels and v >= 0.5:
+            labels[key] = 1
+    missing = [k for k in seg_scores if k not in labels]
+    if missing:
+        raise InvalidParameterError(
+            f"{len(missing)} scored segments lack labels, e.g. {missing[0]}"
+        )
+    per_class, excluded = {}, []
+    for cls in score_tracks[0].class_names:
+        keys = sorted(k for k in seg_scores if k[2] == cls)
+        y = np.array([labels[k] for k in keys])
+        s = np.array([seg_scores[k] for k in keys])
+        if y.size == 0 or y.all() or not y.any():
+            excluded.append(cls)
+            warnings.warn(
+                f"class {cls!r} lacks positives or negatives; excluded",
+                DegenerateClassWarning,
+            )
+            continue
+        per_class[cls] = partial_roc_auc(y, s, max_fpr)
+    if not per_class:
+        raise InvalidParameterError("no class has both positives and negatives")
+    macro = float(np.mean(list(per_class.values())))
+    return {"mpauc": macro, "per_class": per_class, "excluded": excluded}
+
+
+def _array_mpauc(score_tracks, truth_tracks, max_fpr=0.1):
+    scores, labels, classes = _segment_arrays(score_tracks, truth_tracks, "s.csv", "t.csv")
+    return mpauc_report(scores, labels, classes, max_fpr)
+
+
+def _outcome(path, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = path(*args)
+        except InvalidParameterError as exc:
+            result = ("error", str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# Ties, the 0.5 hardening edge, and free floats.
+_SEGMENT_VALUE = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.49, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def _segment_tables(draw):
+    truth_classes = draw(
+        st.lists(st.sampled_from(["dog", "cat", "bird", "lion"]), min_size=1, max_size=4,
+                 unique=True)
+    )
+    score_classes = draw(st.permutations(truth_classes))
+    score_classes = score_classes[: draw(st.integers(1, len(score_classes)))]
+    clips = draw(st.permutations([f"clip{i}" for i in range(draw(st.integers(1, 5)))]))
+    hop = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    flat = draw(st.sampled_from([None, None, 0.0, 1.0]))  # a degenerate truth column
+    flat_class = draw(st.sampled_from(truth_classes))
+    score_tracks, truth_tracks = [], []
+    for clip in clips:
+        n = draw(st.integers(1, 20))
+        truth = np.array(draw(st.lists(
+            st.lists(_SEGMENT_VALUE, min_size=n, max_size=n),
+            min_size=len(truth_classes), max_size=len(truth_classes),
+        )))
+        if flat is not None:
+            truth[truth_classes.index(flat_class)] = flat
+        scores = draw(st.lists(
+            st.lists(_SEGMENT_VALUE, min_size=n, max_size=n),
+            min_size=len(score_classes), max_size=len(score_classes),
+        ))
+        truth_tracks.append(ScoreTrack(truth, hop, tuple(truth_classes), clip))
+        score_tracks.append(ScoreTrack(np.array(scores), hop, tuple(score_classes), clip))
+    score_tracks = draw(st.permutations(score_tracks))
+    return score_tracks, truth_tracks, draw(st.sampled_from([0.1, 0.3, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_segment_tables())
+def test_array_path_equals_parent_dict_path(case):
+    assert _outcome(_array_mpauc, *case) == _outcome(_parent_mpauc, *case)
 
 
 class TestJointScore:
