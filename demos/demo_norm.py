@@ -13,14 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from sedtk import (
-    AdaResNormParams,
-    FeatureMap,
-    ada_res_norm,
-    ada_res_norm_grad,
-    freq_in,
-    init_params,
-)
+from sedtk import AdaResNormParams, FeatureMap, ada_res_norm, ada_res_norm_grad, freq_in
 
 rng = np.random.default_rng(0)
 
@@ -35,14 +28,14 @@ for f in range(4):
     print(f"  bin {f}: {before[f]:8.3f} -> {after[f]:.6f}")
 
 print("\nblend endpoints:")
-identity = ada_res_norm(fmap, init_params("identity"))
+identity = ada_res_norm(fmap, AdaResNormParams(a=1.0, b=1.0, c=0.0))
 print("  a=1, b=1, c=0 reproduces the input exactly:",
       np.array_equal(identity.data, fmap.data))
 pure = ada_res_norm(fmap, AdaResNormParams(a=0.0, b=1.0, c=0.0))
 print("  a=0, b=1, c=0 reproduces freq_in exactly:  ",
       np.array_equal(pure.data, freq_in(fmap, 1e-5).data))
 
-params = init_params("neutral")
+params = AdaResNormParams(a=0.5, b=1.0, c=0.0)
 print(f"\nneutral start: a={params.a}, b={params.b}, c={params.c}")
 
 upstream = rng.normal(size=fmap.shape)

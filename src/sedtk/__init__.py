@@ -22,14 +22,7 @@ from .core import (
 )
 from .stats import ChanStats, FreqStats, bin_moments, chan_stats, export_stats, freq_stats
 from .mixstyle import MixStyleConfig, freq_mixstyle, make_reference_batch
-from .norm import (
-    AdaResNormParams,
-    NormGradients,
-    ada_res_norm,
-    ada_res_norm_grad,
-    freq_in,
-    init_params,
-)
+from .norm import AdaResNormParams, NormGradients, ada_res_norm, ada_res_norm_grad, freq_in
 from .frontend import AudioClip, MelConfig, log_mel, read_wav, resample_to_mono_16k
 from .sebb import (
     SEBB,
@@ -87,7 +80,6 @@ __all__ = [
     "freq_in",
     "freq_mixstyle",
     "freq_stats",
-    "init_params",
     "intersection_match",
     "joint_score",
     "log_mel",

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dataio, metrics, mixstyle, sebb, stats
 from .core import DomainTag, RandomSource, make_batch, read_fmt, write_fmt
-from .errors import ParseError, SedtkError, UsageError
+from .errors import ConfigInvalidError, InvalidParameterError, ParseError, SedtkError, UsageError
 from .frontend import MelConfig, log_mel, read_wav, resample_to_mono_16k
 
 _DOMAINS = [name.lower() for name in DomainTag.__members__]
@@ -140,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_features(args, cfg) -> int:
-    n_mels = _resolve(args, cfg, "n_mels", 128, int)
-    pad_seconds = _resolve(args, cfg, "pad_seconds", 10.0, float)
+    n_mels = _resolve(args, cfg, "n_mels", MelConfig.n_mels, int)
+    pad_seconds = _resolve(args, cfg, "pad_seconds", MelConfig.pad_to_seconds, float)
     domain = _resolve(args, cfg, "domain", "desed", str)
     tag = DomainTag.__members__.get(domain.upper())
     if tag is None:  # argparse limits --domain, so the value came from --config
@@ -182,9 +182,9 @@ def cmd_stats(args, cfg) -> int:
 
 
 def cmd_augment(args, cfg) -> int:
-    p = _resolve(args, cfg, "p", 0.5, float)
-    alpha = _resolve(args, cfg, "alpha", 0.6, float)
-    eps = _resolve(args, cfg, "eps", 1e-5, float)
+    p = _resolve(args, cfg, "p", mixstyle.MixStyleConfig.p, float)
+    alpha = _resolve(args, cfg, "alpha", mixstyle.MixStyleConfig.alpha, float)
+    eps = _resolve(args, cfg, "eps", mixstyle.MixStyleConfig.eps, float)
     _log_config("augment", {
         "in": args.in_fmt, "out": args.out, "p": p, "alpha": alpha,
         "eps": eps, "seed": args.seed,
@@ -198,13 +198,17 @@ def cmd_augment(args, cfg) -> int:
     return 0
 
 
+# Each CsebbConfig field and its default; a field's flag has the field's name.
+_CSEBB_DEFAULTS = {
+    key: getattr(sebb.CsebbConfig, key) for key in sebb.CsebbConfig.__dataclass_fields__
+}
+
+
 def _csebb_config(args, cfg) -> sebb.CsebbConfig:
-    return sebb.CsebbConfig(
-        filter_len=_resolve(args, cfg, "filter_len", 21, int),
-        merge_threshold_abs=_resolve(args, cfg, "merge_threshold_abs", 0.15, float),
-        merge_threshold_rel=_resolve(args, cfg, "merge_threshold_rel", 1.5, float),
-        boundary_threshold=_resolve(args, cfg, "boundary_threshold", 0.1, float),
-    )
+    return sebb.CsebbConfig(**{
+        key: _resolve(args, cfg, key, default, type(default))
+        for key, default in _CSEBB_DEFAULTS.items()
+    })
 
 
 def cmd_postprocess(args, cfg) -> int:
@@ -212,10 +216,7 @@ def cmd_postprocess(args, cfg) -> int:
     threshold = _resolve(args, cfg, "threshold", 0.5, float)
     _log_config("postprocess", {
         "scores": args.scores, "out": args.out,
-        "filter_len": csebb.filter_len,
-        "merge_threshold_abs": csebb.merge_threshold_abs,
-        "merge_threshold_rel": csebb.merge_threshold_rel,
-        "boundary_threshold": csebb.boundary_threshold,
+        **{key: getattr(csebb, key) for key in _CSEBB_DEFAULTS},
         "threshold": threshold,
     })
     thresholds: dict[str, float] = {}
@@ -246,10 +247,22 @@ def cmd_postprocess(args, cfg) -> int:
 
 
 def _parse_grid(path) -> dict[str, list]:
+    """Axes of a ``key=v1,v2,...`` grid file; every value must make a valid CsebbConfig."""
     grid: dict[str, list] = {}
     for key, (values, where) in _read_config(path).items():
-        cast = int if key == "filter_len" else float
+        if key not in _CSEBB_DEFAULTS:
+            raise UsageError(
+                f"{where}: unknown grid key {key!r}, expected one of {list(_CSEBB_DEFAULTS)}"
+            )
+        cast = type(_CSEBB_DEFAULTS[key])
         grid[key] = [_cast(cast, key, v, where) for v in values.split(",") if v.strip()]
+        if not grid[key]:
+            raise UsageError(f"{where}: grid axis {key} needs at least one value")
+        for value in grid[key]:
+            try:
+                sebb.CsebbConfig(**{key: value})
+            except (ConfigInvalidError, InvalidParameterError) as exc:
+                raise UsageError(f"{where}: {exc}") from None
     return grid
 
 
@@ -258,11 +271,11 @@ def cmd_tune_sebb(args, cfg) -> int:
         "scores": args.scores, "truth": args.truth,
         "durations": args.durations, "grid": args.grid,
     })
+    grid = _parse_grid(args.grid)
     tracks = dataio.read_scores(args.scores)
     annos = dataio.read_annotations(args.truth)
     durations = dataio.read_durations(args.durations)
     truth = metrics.AnnotationSet(events=annos.events, clip_durations=durations)
-    grid = _parse_grid(args.grid)
     best = sebb.tune_csebb(tracks, truth, grid)
     lines = [
         f"filter_len={best.filter_len}",

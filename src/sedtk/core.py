@@ -132,24 +132,14 @@ class RandomSource:
 
     A source is single-owner: pass it explicitly, never share across
     concurrent consumers. Identical seed plus identical call sequence
-    yields identical outputs. ``split`` derives independent child streams.
+    yields identical outputs.
     """
 
     def __init__(self, seed: int):
         seed = int(seed)
         if not 0 <= seed < 2**64:
             raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
-        self._seq = np.random.SeedSequence(seed)
-        self._gen = np.random.Generator(np.random.Philox(self._seq))
-
-    @classmethod
-    def _wrap(cls, seq: np.random.SeedSequence, seed: int) -> "RandomSource":
-        src = cls.__new__(cls)
-        src.seed = seed
-        src._seq = seq
-        src._gen = np.random.Generator(np.random.Philox(seq))
-        return src
+        self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
     def uniform(self, size=None):
         """Draw from U[0, 1); scalar float when size is None."""
@@ -168,14 +158,6 @@ class RandomSource:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def split(self, n: int) -> list["RandomSource"]:
-        """Spawn n independent child streams (parent remains usable).
-
-        Spawns from the seed sequence, as ``Generator.spawn`` (numpy >= 1.25)
-        does, so the child streams are the same on every supported numpy.
-        """
-        return [self._wrap(seq, self.seed) for seq in self._seq.spawn(n)]
 
 
 def beta_sample(rng: RandomSource, alpha: float, size=None):

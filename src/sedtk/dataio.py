@@ -137,24 +137,18 @@ def _check_chain_free(pairs: Mapping[str, str]) -> None:
             )
 
 
-def apply_class_map(items, mapping: Mapping[str, str]):
-    """Replace source classes by their super-class; others pass through.
-
-    Accepts a list of events or a sequence of class-name strings and
-    returns the same kind.
-    """
+def apply_class_map(events: Sequence[Event], mapping: Mapping[str, str]) -> list[Event]:
+    """Replace source classes by their super-class; others pass through."""
     _check_chain_free(mapping)
-    if all(isinstance(x, Event) for x in items):
-        return [
-            Event(
-                clip_id=e.clip_id,
-                class_name=mapping.get(e.class_name, e.class_name),
-                onset_s=e.onset_s,
-                offset_s=e.offset_s,
-            )
-            for e in items
-        ]
-    return [mapping.get(name, name) for name in items]
+    return [
+        Event(
+            clip_id=e.clip_id,
+            class_name=mapping.get(e.class_name, e.class_name),
+            onset_s=e.onset_s,
+            offset_s=e.offset_s,
+        )
+        for e in events
+    ]
 
 
 def read_scores(path) -> list[ScoreTrack]:
@@ -307,6 +301,7 @@ def write_scores(tracks: Sequence[ScoreTrack], path) -> None:
         fh.write(f"# hop_seconds={hop:.9g}\n")
         fh.write("clip_id,frame," + ",".join(names) + "\n")
         for tr in tracks:
-            for t in range(tr.n_frames):
-                vals = ",".join(f"{v:.6f}" for v in tr.scores[:, t])
-                fh.write(f"{tr.clip_id},{t},{vals}\n")
+            # one %-format per clip; "%.6f" spells each value as f"{v:.6f}" does
+            row = tr.clip_id.replace("%", "%%") + ",%d" + ",%.6f" * len(names) + "\n"
+            table = np.hstack([np.arange(tr.n_frames)[:, None], tr.scores.T])
+            fh.write((row * tr.n_frames) % tuple(table.ravel().tolist()))

@@ -75,7 +75,3 @@ class UsageError(SedtkError):
 
 class DegenerateClassWarning(UserWarning):
     """A class lacks positives or negatives and is excluded from the macro mean."""
-
-
-class NoTruthEventsWarning(UserWarning):
-    """A class has no ground-truth events and is excluded from the TPR mean."""

@@ -154,19 +154,19 @@ def _analysis_tables(cfg: MelConfig) -> tuple[np.ndarray, csr_array]:
     return window, csr_array(mel_filterbank(cfg))
 
 
-def resample_to_mono_16k(clip: AudioClip, target_rate: int = 16000) -> AudioClip:
-    """Average channels to mono, then band-limited polyphase resample."""
+def resample_to_mono_16k(clip: AudioClip) -> AudioClip:
+    """Average channels to mono, then band-limited polyphase resample to 16 kHz."""
     if clip.samples.shape[0] == 0:
         raise EmptyAudioError("clip has zero samples")
     mono = clip.samples
     if mono.ndim == 2:
         mono = mono.mean(axis=1, dtype=np.float64).astype(np.float32)
-    if clip.sample_rate == target_rate:
-        return AudioClip(samples=mono, sample_rate=target_rate)
-    g = math.gcd(int(clip.sample_rate), target_rate)
-    up, down = target_rate // g, int(clip.sample_rate) // g
+    if clip.sample_rate == 16000:
+        return AudioClip(samples=mono, sample_rate=16000)
+    g = math.gcd(int(clip.sample_rate), 16000)
+    up, down = 16000 // g, int(clip.sample_rate) // g
     out = resample_poly(mono.astype(np.float64), up, down)
-    return AudioClip(samples=out.astype(np.float32), sample_rate=target_rate)
+    return AudioClip(samples=out.astype(np.float32), sample_rate=16000)
 
 
 def log_mel(clip: AudioClip, cfg: MelConfig) -> FeatureMap:

@@ -3,15 +3,16 @@
 PSDS side: detections are validated by intersection criteria (a detection
 must overlap same-class truth for at least rho_dtc of its own duration; a
 truth event counts as found when valid detections cover at least rho_gtc
-of it). Operating points over a threshold sweep form a monotone staircase
-of (false positives per hour, class-averaged TPR minus alpha_st times its
-std); PSDS is the normalized area under that staircase up to e_max.
+of it). Operating points, one per threshold of a sweep or one per given
+detection list, form a monotone staircase of (false positives per hour,
+TPR averaged over the truth classes minus alpha_st times its std); PSDS
+is the normalized area under that staircase up to e_max.
 
-Segment side: 1-second segments are labelled from event truth or from soft
-labels hardened at 0.5, one bool (segments, classes) array per clip. Over
-aligned (cells, classes) arrays, each class gets a ROC partial area up to
-max_fpr, interpolated at the cut and standardized so that chance maps to
-0.5 and perfect ranking to 1.0. The macro average over classes is mpAUC.
+Segment side: soft segment labels are hardened at 0.5 into one bool
+(segments, classes) array per clip. Over aligned (cells, classes) arrays,
+each class gets a ROC partial area up to max_fpr, interpolated at the cut
+and standardized so that chance maps to 0.5 and perfect ranking to 1.0.
+The macro average over classes is mpAUC.
 """
 
 from __future__ import annotations
@@ -24,15 +25,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateClassWarning,
-    InvalidIntervalError,
-    InvalidParameterError,
-    NoTruthEventsWarning,
-)
+from .errors import DegenerateClassWarning, InvalidIntervalError, InvalidParameterError
 
 HARD_THRESHOLD = 0.5  # a soft segment label at or above this is positive
-SEGMENT_S = 1.0  # segment length in seconds for event truth
 
 
 @dataclass(frozen=True)
@@ -230,54 +225,42 @@ def _is_scored(items: list) -> bool:
 
 
 def psd_roc(
-    detections,
-    truth: AnnotationSet,
-    cfg: PsdsConfig = PsdsConfig(),
-    classes: Sequence[str] | None = None,
+    detections, truth: AnnotationSet, cfg: PsdsConfig = PsdsConfig()
 ) -> list[tuple[float, float]]:
-    """Operating points over the threshold sweep, as a monotone staircase.
+    """Operating points as a monotone staircase.
 
     ``detections`` takes one of three forms:
 
     - a sequence of ``(confidence, Event)`` pairs. The detections at
       threshold tau are the events with confidence >= tau, and every
-      threshold is scored from one matching pass;
-    - a callable mapping a threshold to an event list;
-    - a sequence of event lists aligned with cfg.thresholds.
+      threshold of cfg.thresholds is scored from one matching pass;
+    - a callable mapping a threshold to an event list, called once per
+      threshold of cfg.thresholds;
+    - a sequence of event lists, one operating point each. This form never
+      reads cfg.thresholds, so one list gives one point.
 
-    The TPR mean/std run over ``classes`` (default: classes present in the
-    truth events); a listed class with zero truth events is excluded with
-    a warning. False positives of every class count toward the per-hour
-    rate, normalized by the total annotated audio duration.
+    The TPR mean/std run over the classes present in the truth events.
+    False positives of every class count toward the per-hour rate,
+    normalized by the total annotated audio duration.
     """
     if not truth.clip_durations:
         raise InvalidParameterError("truth must carry clip durations for eFPR")
     hours = sum(truth.clip_durations.values()) / 3600.0
-    if classes is None:
-        eval_classes = sorted({e.class_name for e in truth.events})
-    else:
-        eval_classes = list(classes)
-    n_truth = {
-        c: sum(1 for e in truth.events if e.class_name == c) for c in eval_classes
-    }
-    for c in [c for c in eval_classes if n_truth[c] == 0]:
-        warnings.warn(
-            f"class {c!r} has no truth events; excluded from TPR mean",
-            NoTruthEventsWarning,
-        )
-    eval_classes = [c for c in eval_classes if n_truth[c] > 0]
-
-    def match(dets):
-        return intersection_match(dets, truth.events, cfg.rho_dtc, cfg.rho_gtc)
+    n_truth: dict[str, int] = {}
+    for e in truth.events:
+        n_truth[e.class_name] = n_truth.get(e.class_name, 0) + 1
+    eval_classes = sorted(n_truth)
 
     if callable(detections):
-        per_threshold = (match(detections(t)) for t in cfg.thresholds)
+        detections = [detections(t) for t in cfg.thresholds]
+    detections = list(detections)
+    if _is_scored(detections):
+        per_threshold = _scored_counts(detections, truth.events, cfg)
     else:
-        detections = list(detections)
-        if _is_scored(detections):
-            per_threshold = _scored_counts(detections, truth.events, cfg)
-        else:
-            per_threshold = (match(dets) for dets in detections)
+        per_threshold = (
+            intersection_match(dets, truth.events, cfg.rho_dtc, cfg.rho_gtc)
+            for dets in detections
+        )
 
     points = []
     for counts in per_threshold:
@@ -320,54 +303,31 @@ def psds(curve: Sequence[tuple[float, float]], cfg: PsdsConfig = PsdsConfig()) -
 
 
 def segmentize(
-    truth: AnnotationSet | Mapping[str, np.ndarray],
-    classes: Sequence[str],
+    truth: Mapping[str, np.ndarray], classes: Sequence[str]
 ) -> dict[str, np.ndarray]:
     """One bool (n_segments, len(classes)) label array per clip, clips sorted.
 
-    Event truth (an ``AnnotationSet``) labels the SEGMENT_S segments of its
-    clip durations, final partial segment included: one is positive where an event
-    overlaps it with positive measure. Soft truth maps each clip id to an
-    (n_segments, len(classes)) array in [0, 1]: values >= HARD_THRESHOLD
-    are positive.
+    ``truth`` maps each clip id to soft labels, an (n_segments, len(classes))
+    array in [0, 1]: values >= HARD_THRESHOLD are positive.
     """
-    if not isinstance(truth, AnnotationSet):
-        labels = {}
-        for clip, values in sorted(truth.items()):
-            v = np.asarray(values, dtype=np.float64)
-            if v.ndim != 2 or v.shape[1] != len(classes) or not ((v >= 0) & (v <= 1)).all():
-                raise InvalidParameterError(
-                    f"soft labels of {clip!r} must be an (n_segments, {len(classes)}) "
-                    f"array in [0, 1], got shape {v.shape}"
-                )
-            labels[clip] = v >= HARD_THRESHOLD
-        return labels
-    labels = {
-        clip: np.zeros((max(1, math.ceil(dur / SEGMENT_S - 1e-12)), len(classes)), bool)
-        for clip, dur in sorted(truth.clip_durations.items())
-    }
-    column = {cls: k for k, cls in enumerate(classes)}
-    for ev in truth.events:
-        grid, k = labels.get(ev.clip_id), column.get(ev.class_name)
-        if grid is None or k is None:
-            continue
-        first = max(0, int(ev.onset_s // SEGMENT_S))
-        last = min(int(math.ceil(ev.offset_s / SEGMENT_S)), len(grid))
-        for seg in range(first, last):
-            if _overlap(ev.onset_s, ev.offset_s, seg * SEGMENT_S, (seg + 1) * SEGMENT_S) > 0:
-                grid[seg, k] = True
+    labels = {}
+    for clip, values in sorted(truth.items()):
+        v = np.asarray(values, dtype=np.float64)
+        if v.ndim != 2 or v.shape[1] != len(classes) or not ((v >= 0) & (v <= 1)).all():
+            raise InvalidParameterError(
+                f"soft labels of {clip!r} must be an (n_segments, {len(classes)}) "
+                f"array in [0, 1], got shape {v.shape}"
+            )
+        labels[clip] = v >= HARD_THRESHOLD
     return labels
 
 
-def partial_roc_auc(
-    labels, scores, max_fpr: float = 0.1, standardize: bool = True
-) -> float:
-    """Partial area under the ROC curve for FPR in [0, max_fpr].
+def partial_roc_auc(labels, scores, max_fpr: float = 0.1) -> float:
+    """Standardized partial area under the ROC curve for FPR in [0, max_fpr].
 
     The ROC is built from all distinct score thresholds; the area is
-    integrated trapezoidally with linear interpolation at the max_fpr cut.
-    With ``standardize`` the result is mapped so chance is 0.5 and perfect
-    ranking 1.0; otherwise the raw area divided by max_fpr is returned.
+    integrated trapezoidally with linear interpolation at the max_fpr cut,
+    then mapped so chance is 0.5 and perfect ranking 1.0.
     """
     if not 0 < max_fpr <= 1:
         raise InvalidParameterError(f"max_fpr must be in (0, 1], got {max_fpr}")
@@ -402,8 +362,6 @@ def partial_roc_auc(
     # np.trapezoid's sum, spelled out: numpy < 2.0 has only np.trapz
     pauc = float(np.add.reduce(np.diff(fpr_p) * (tpr_p[1:] + tpr_p[:-1]) / 2.0))
 
-    if not standardize:
-        return pauc / max_fpr
     min_area = 0.5 * max_fpr**2
     max_area = max_fpr
     return 0.5 * (1.0 + (pauc - min_area) / (max_area - min_area))

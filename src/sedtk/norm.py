@@ -14,12 +14,11 @@ includes the dependence of the per-bin moments on the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import FeatureMap
-from .errors import InvalidParameterError, ParseError, ShapeMismatchError
+from .errors import InvalidParameterError, ShapeMismatchError
 from .stats import bin_moments
 
 
@@ -71,7 +70,7 @@ def ada_res_norm(fmap: FeatureMap, params: AdaResNormParams) -> FeatureMap:
 
 
 def ada_res_norm_grad(
-    fmap: FeatureMap, params: AdaResNormParams, upstream
+    fmap: FeatureMap, params: AdaResNormParams, upstream: np.ndarray
 ) -> NormGradients:
     """Exact gradients of L = sum(upstream * ada_res_norm(x)).
 
@@ -83,13 +82,12 @@ def ada_res_norm_grad(
 
     where the means run over the bin's (channel, time) elements.
     """
-    u = upstream.data if isinstance(upstream, FeatureMap) else np.asarray(upstream)
+    u = np.asarray(upstream, dtype=np.float64)
     if u.shape != fmap.shape:
         raise ShapeMismatchError(
             f"upstream shape {u.shape} != input shape {fmap.shape}"
         )
     x = fmap.data.astype(np.float64)
-    u = u.astype(np.float64)
     a, b = params.a, params.b
     mu, var = bin_moments(x, (0, 2))
     s = np.sqrt(var + params.eps)
@@ -105,38 +103,4 @@ def ada_res_norm_grad(
     d_input = a * b * u + (g - g_mean - y * gy_mean) / s
     return NormGradients(
         d_a=float(d_a), d_b=float(d_b), d_c=float(d_c), d_input=d_input
-    )
-
-
-def init_params(mode: str) -> AdaResNormParams:
-    """``identity`` gives the exact identity map; ``neutral`` a 50/50 blend."""
-    if mode == "identity":
-        return AdaResNormParams(a=1.0, b=1.0, c=0.0)
-    if mode == "neutral":
-        return AdaResNormParams(a=0.5, b=1.0, c=0.0)
-    raise InvalidParameterError(f"mode must be 'identity' or 'neutral', got {mode!r}")
-
-
-def save_params(params: AdaResNormParams, path) -> None:
-    """Write the plain-text parameter file ``a=<v> b=<v> c=<v> eps=<v>``."""
-    text = f"a={params.a!r} b={params.b!r} c={params.c!r} eps={params.eps!r}\n"
-    Path(path).write_text(text, encoding="utf-8")
-
-
-def load_params(path) -> AdaResNormParams:
-    """Read a parameter file written by ``save_params``."""
-    fields = {}
-    for token in Path(path).read_text(encoding="utf-8").split():
-        if "=" not in token:
-            raise ParseError(f"bad token {token!r} in parameter file", path=path)
-        key, value = token.split("=", 1)
-        try:
-            fields[key] = float(value)
-        except ValueError as exc:
-            raise ParseError(f"bad value for {key}: {value!r}", path=path) from exc
-    missing = {"a", "b", "c", "eps"} - fields.keys()
-    if missing:
-        raise ParseError(f"missing fields: {sorted(missing)}", path=path)
-    return AdaResNormParams(
-        a=fields["a"], b=fields["b"], c=fields["c"], eps=fields["eps"]
     )

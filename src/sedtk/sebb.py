@@ -29,7 +29,7 @@ from .errors import (
     UnknownClassError,
     UnsortedInputError,
 )
-from .metrics import AnnotationSet, Event, PsdsConfig, psd_roc, psds
+from .metrics import AnnotationSet, Event, psd_roc, psds
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class CsebbConfig:
             )
         for name in ("merge_threshold_abs", "merge_threshold_rel", "boundary_threshold"):
             if not getattr(self, name) > 0:
-                raise ConfigInvalidError(f"{name} must be > 0")
+                raise ConfigInvalidError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 def delta_scores(track_row, filter_len: int) -> np.ndarray:
@@ -299,9 +299,8 @@ def tune_csebb(
     tracks: Sequence[ScoreTrack],
     truth: AnnotationSet,
     grid: Mapping[str, Sequence],
-    psds_config: PsdsConfig = PsdsConfig(),
 ) -> CsebbConfig:
-    """Exhaustive grid search maximizing PSDS on validation pairs.
+    """Exhaustive grid search maximizing PSDS (default ``PsdsConfig``) on validation pairs.
 
     ``grid`` may list values for filter_len, boundary_threshold,
     merge_threshold_abs, and merge_threshold_rel; omitted keys fall back to
@@ -341,8 +340,7 @@ def tune_csebb(
             for clip_id, found in sebbs_by_clip.items()
             for s in found
         ]
-        curve = psd_roc(scored, truth, psds_config)
-        value = psds(curve, psds_config)
+        value = psds(psd_roc(scored, truth))
         if best is None or value > best[0] + 1e-12:
             best = (value, cfg)
     assert best is not None

@@ -1,5 +1,10 @@
 """Command-line behavior: exit codes, reports, determinism, input safety."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,6 +56,32 @@ class TestExitCodes:
             run(["stats", "--in", str(tmp_path / "nope.fmt"), "--out", str(tmp_path / "o")])
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "command, flag, expected",
+        [
+            ("features", "--in", "n_mels=128 pad_seconds=10.0 domain=desed seed=0"),
+            ("augment", "--in", "p=0.5 alpha=0.6 eps=1e-05 seed=0"),
+            ("postprocess", "--scores", "filter_len=21 merge_threshold_abs=0.15 "
+             "merge_threshold_rel=1.5 boundary_threshold=0.1 threshold=0.5"),
+        ],
+    )
+    def test_config_line_shows_the_defaults(self, tmp_path, capsys, command, flag, expected):
+        src, out = tmp_path / "missing", tmp_path / "out"
+        assert run([command, flag, str(src), "--out", str(out)]) == 2  # logged, then read
+        in_key = "scores" if flag == "--scores" else "in"
+        line = f"config: subcommand={command} {in_key}={src} out={out} {expected}"
+        assert line in capsys.readouterr().err.splitlines()
+
+    def test_import_raises_no_warnings(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", "import sedtk, sedtk.cli"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEvaluate:
@@ -342,6 +373,10 @@ class TestPostprocessAndTune:
             ("tune-sebb", "--grid", "filter_len=abc\n", 1),
             ("tune-sebb", "--grid", "filter_len=5,21\nboundary_threshold=0.1,x\n", 2),
             ("tune-sebb", "--grid", "filter_len=5.0\n", 1),
+            ("tune-sebb", "--grid", "filter_len=5\nwindow=3\n", 2),
+            ("tune-sebb", "--grid", "# axes\nfilter_len=\n", 2),
+            ("tune-sebb", "--grid", "filter_len=5,4\n", 1),
+            ("tune-sebb", "--grid", "filter_len=5\nboundary_threshold=0.1,-0.1\n", 2),
             ("postprocess", "--config", "# tuned\nfilter_len=abc\n", 2),
             ("postprocess", "--config", "filter_len=5\nthreshold=high\n", 2),
             ("postprocess", "--config", "filter_len 5\n", 1),
@@ -381,4 +416,18 @@ class TestPostprocessAndTune:
         assert code == 1
         assert f"usage error: {values}:{line}:" in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_bad_grid_is_reported_before_scores_are_read(self, tmp_path, capsys):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("filter_len=5\nwindow=3\n")
+        missing = tmp_path / "missing.csv"
+        code = run([
+            "tune-sebb", "--scores", str(missing), "--truth", str(missing),
+            "--durations", str(missing), "--grid", str(grid),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"usage error: {grid}:2: unknown grid key 'window'" in captured.err
+        assert str(missing) not in captured.err.splitlines()[-1]
         assert captured.out == ""

@@ -122,9 +122,9 @@ class TestClassMap:
 
     def test_speech_superclass(self):
         names = ["people_talking", "children_voices", "announcements", "car"]
-        assert apply_class_map(names, DEFAULT_CLASS_MAP) == [
-            "Speech", "Speech", "Speech", "car",
-        ]
+        events = [Event("a", name, float(i), i + 1.0) for i, name in enumerate(names)]
+        mapped = apply_class_map(events, DEFAULT_CLASS_MAP)
+        assert [e.class_name for e in mapped] == ["Speech", "Speech", "Speech", "car"]
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "map.tsv"
@@ -135,7 +135,7 @@ class TestClassMap:
 
     def test_chain_rejected(self):
         with pytest.raises(InvalidParameterError):
-            apply_class_map(["a"], {"a": "b", "b": "c"})
+            apply_class_map([Event("x", "a", 0.0, 1.0)], {"a": "b", "b": "c"})
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "map.tsv"
@@ -393,3 +393,58 @@ def test_read_scores_matches_per_line_reader(csv_path, lines):
     else:
         assert [t[:3] for t in fast] == [t[:3] for t in slow]
         assert all(np.array_equal(f[3], s[3]) for f, s in zip(fast, slow))
+
+
+def _write_scores_per_value(tracks, path):
+    """Reference: the one-f"{v:.6f}"-per-value writer that write_scores replaces."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# hop_seconds={tracks[0].hop_seconds:.9g}\n")
+        fh.write("clip_id,frame," + ",".join(tracks[0].class_names) + "\n")
+        for tr in tracks:
+            for t in range(tr.n_frames):
+                vals = ",".join(f"{v:.6f}" for v in tr.scores[:, t])
+                fh.write(f"{tr.clip_id},{t},{vals}\n")
+
+
+_SCORE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-7, 2.5e-7, 0.1234565, 1 - 5e-7, 5e-324]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def _score_tracks(draw):
+    n_classes = draw(st.integers(1, 3))
+    clip_ids = draw(st.lists(
+        st.text("ab%d_ .", min_size=1, max_size=4).filter(str.strip),
+        min_size=1, max_size=3, unique=True,
+    ))
+    return [
+        ScoreTrack(
+            scores=np.array(draw(st.lists(
+                st.lists(_SCORE, min_size=n_classes, max_size=n_classes),
+                min_size=1, max_size=6,
+            ))).T,
+            hop_seconds=0.016,
+            class_names=tuple(f"c{k}" for k in range(n_classes)),
+            clip_id=clip,
+        )
+        for clip in clip_ids
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_score_tracks())
+@example([ScoreTrack(np.array([[0.5, 1.0]]), 0.5, ("dog",), "100%d")])
+def test_write_scores_matches_per_value_writer(tmp_path_factory, tracks):
+    tmp = tmp_path_factory.mktemp("write")
+    write_scores(tracks, tmp / "block.csv")
+    _write_scores_per_value(tracks, tmp / "value.csv")
+    assert (tmp / "block.csv").read_bytes() == (tmp / "value.csv").read_bytes()
+    back = read_scores(tmp / "block.csv")
+    assert [t.clip_id for t in back] == [t.clip_id for t in tracks]
+    for got, want in zip(back, tracks):
+        assert got.class_names == want.class_names
+        assert got.hop_seconds == want.hop_seconds
+        rounded = [[float(f"{v:.6f}") for v in row] for row in want.scores]
+        np.testing.assert_array_equal(got.scores, rounded)

@@ -9,12 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sedtk.cli import _segment_arrays
-from sedtk.errors import (
-    DegenerateClassWarning,
-    InvalidIntervalError,
-    InvalidParameterError,
-    NoTruthEventsWarning,
-)
+from sedtk.errors import DegenerateClassWarning, InvalidIntervalError, InvalidParameterError
 from sedtk.metrics import (
     AnnotationSet,
     Event,
@@ -30,7 +25,7 @@ from sedtk.metrics import (
 from sedtk.sebb import ScoreTrack
 
 
-def _brute_partial_auc(y, s, max_fpr, standardize=True):
+def _brute_partial_auc(y, s, max_fpr):
     """O(n^2) oracle: enumerate every threshold, count, clip trapezoids."""
     y = np.asarray(y, dtype=int)
     s = np.asarray(s, dtype=np.float64)
@@ -48,8 +43,6 @@ def _brute_partial_auc(y, s, max_fpr, standardize=True):
         elif x0 < max_fpr:
             yc = y0 + (y1 - y0) * (max_fpr - x0) / (x1 - x0)
             area += (max_fpr - x0) * (y0 + yc) / 2.0
-    if not standardize:
-        return area / max_fpr
     min_area = 0.5 * max_fpr**2
     return 0.5 * (1.0 + (area - min_area) / (max_fpr - min_area))
 
@@ -122,6 +115,20 @@ class TestPsdRoc:
         assert curve == [(0.0, 0.0)]
         assert psds(curve) == 0.0
 
+    def test_list_form_gives_one_point_per_list_whatever_the_thresholds(self):
+        dogs = [e for e in self.TRUTH.events if e.class_name == "dog"]
+        stray = [Event("a", "cat", 500.0, 510.0)]
+        lists = [dogs + stray, list(self.TRUTH.events)]
+        curves = [
+            psd_roc(lists, self.TRUTH, PsdsConfig(thresholds=thresholds))
+            for thresholds in [(0.5,), (0.1, 0.2, 0.3), PsdsConfig().thresholds]
+        ]
+        assert curves[0] == curves[1] == curves[2] == [(0.0, 1.0)]
+        # one list under 50 thresholds is still one operating point: TPR 0.5 at 1 FP/h
+        for thresholds in [(0.5,), PsdsConfig().thresholds]:
+            cfg = PsdsConfig(alpha_st=0.0, thresholds=thresholds)
+            assert psd_roc([dogs + stray], self.TRUTH, cfg) == [(0.0, 0.0), (1.0, 0.5)]
+
     def test_two_class_three_threshold_staircase(self):
         # Hand enumeration. Detections and confidences:
         #   d1 dog [0,10)    conf 0.9  (matches truth)
@@ -146,15 +153,6 @@ class TestPsdRoc:
         )
         assert curve == [(0.0, 0.0), (1.0, 0.5)]
         assert psds(curve, cfg) == pytest.approx(0.495, abs=1e-12)
-
-    def test_zero_truth_class_warns_and_is_excluded(self):
-        with pytest.warns(NoTruthEventsWarning):
-            curve = psd_roc(
-                [list(self.TRUTH.events)],
-                self.TRUTH,
-                classes=["dog", "cat", "unicorn"],
-            )
-        assert (0.0, 1.0) in curve
 
     def test_operating_point_bounds(self):
         rng = np.random.default_rng(0)
@@ -210,34 +208,33 @@ def _scored_case(draw):
     if copies:  # exact copies of truth and duplicate detections
         scored += draw(st.lists(st.tuples(_CONFIDENCE, st.sampled_from(copies)), max_size=6))
     scored = draw(st.permutations(scored))
-    classes = draw(st.sampled_from([None, ["dog", "cat"], ["dog", "cat", "lion"], ["cat"]]))
     cfg = PsdsConfig(
         rho_dtc=draw(st.sampled_from([0.5, 0.7, 1.0])),
         rho_gtc=draw(st.sampled_from([0.3, 0.7, 1.0])),
         alpha_st=draw(st.sampled_from([0.0, 1.0])),
         thresholds=draw(st.sampled_from([_THRESHOLDS, _DEFAULT_THRESHOLDS])),
     )
-    return truth_events, scored, classes, cfg
+    return truth_events, scored, cfg
 
 
-def _curve_and_warnings(detections, truth, cfg, classes):
+def _curve_and_warnings(detections, truth, cfg):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        curve = psd_roc(detections, truth, cfg, classes)
+        curve = psd_roc(detections, truth, cfg)
     return curve, [(w.category, str(w.message)) for w in caught]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_scored_case())
-@example(([Event("a", "dog", 1.0, 2.0)], [], None, PsdsConfig()))
+@example(([Event("a", "dog", 1.0, 2.0)], [], PsdsConfig()))
 @example(([Event("a", "dog", 1.0, 2.0)], [(0.5, Event("a", "dog", 1.0, 2.0))],
-          ["dog", "lion"], PsdsConfig(thresholds=(0.5,))))
+          PsdsConfig(thresholds=(0.5,))))
 def test_scored_sweep_equals_per_threshold_matching(case):
-    truth_events, scored, classes, cfg = case
+    truth_events, scored, cfg = case
     truth = AnnotationSet(events=truth_events, clip_durations=_DURATIONS)
-    fast = _curve_and_warnings(scored, truth, cfg, classes)
+    fast = _curve_and_warnings(scored, truth, cfg)
     slow = _curve_and_warnings(
-        lambda tau: [e for c, e in scored if c >= tau], truth, cfg, classes
+        lambda tau: [e for c, e in scored if c >= tau], truth, cfg
     )
     assert fast == slow
 
@@ -279,47 +276,17 @@ class TestPsds:
 
 
 class TestSegmentize:
-    def test_event_overlap(self):
-        truth = AnnotationSet(
-            events=[Event("a", "dog", 0.2, 2.5)], clip_durations={"a": 10.0}
-        )
-        labels = segmentize(truth, ["dog"])
-        assert np.flatnonzero(labels["a"][:, 0]).tolist() == [0, 1, 2]
-
     def test_soft_threshold_boundary(self):
         labels = segmentize({"a": np.array([[0.5], [0.49]])}, classes=["dog"])
         assert labels["a"].dtype == bool
         assert labels["a"][:, 0].tolist() == [True, False]
 
-    def test_total_and_deterministic(self):
-        truth = AnnotationSet(
-            events=[Event("a", "dog", 0.0, 1.0)],
-            clip_durations={"b": 2.0, "a": 4.5},
-        )
-        labels = segmentize(truth, classes=["dog", "cat"])
-        # clips sorted; final partial segment included: ceil(4.5) = 5 segments for "a"
+    def test_clips_come_out_sorted(self):
+        soft = {"b": np.zeros((2, 2)), "a": np.array([[1.0, 0.0]] + [[0.0, 0.0]] * 4)}
+        labels = segmentize(soft, classes=["dog", "cat"])
         assert list(labels) == ["a", "b"]
         assert labels["a"].shape == (5, 2) and labels["b"].shape == (2, 2)
         assert labels["a"].sum() == 1 and labels["a"][0, 0]
-        again = segmentize(truth, classes=["dog", "cat"])
-        assert all(np.array_equal(labels[c], again[c]) for c in labels)
-
-    def test_event_touching_segment_boundary_not_positive(self):
-        truth = AnnotationSet(
-            events=[Event("a", "dog", 1.0, 2.0)], clip_durations={"a": 4.0}
-        )
-        labels = segmentize(truth, ["dog"])
-        assert not labels["a"][2, 0]
-        assert labels["a"][1, 0]
-
-    def test_events_over_the_clip_edges_stay_on_the_grid(self):
-        truth = AnnotationSet(
-            events=[Event("a", "dog", -0.5, 0.5), Event("a", "cat", 3.5, 4.0 + 5e-10)],
-            clip_durations={"a": 4.0},
-        )
-        labels = segmentize(truth, ["dog", "cat"])
-        assert labels["a"].tolist() == [[True, False], [False, False], [False, False],
-                                        [False, True]]
 
     def test_soft_labels_need_one_column_per_class(self):
         with pytest.raises(InvalidParameterError):
@@ -352,9 +319,6 @@ class TestPartialAuc:
             got = partial_roc_auc(y, s, max_fpr=0.1)
             want = _brute_partial_auc(y, s, max_fpr=0.1)
             assert got == pytest.approx(want, abs=1e-9)
-            got_raw = partial_roc_auc(y, s, max_fpr=0.25, standardize=False)
-            want_raw = _brute_partial_auc(y, s, max_fpr=0.25, standardize=False)
-            assert got_raw == pytest.approx(want_raw, abs=1e-9)
 
     def test_ties_in_scores(self):
         y = np.array([0, 0, 1, 1, 0, 1])

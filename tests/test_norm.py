@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 
 from sedtk.core import FeatureMap
-from sedtk.errors import InvalidParameterError, ParseError, ShapeMismatchError
-from sedtk.norm import (
-    AdaResNormParams,
-    ada_res_norm,
-    ada_res_norm_grad,
-    freq_in,
-    init_params,
-    load_params,
-    save_params,
-)
+from sedtk.errors import InvalidParameterError, ShapeMismatchError
+from sedtk.norm import AdaResNormParams, ada_res_norm, ada_res_norm_grad, freq_in
 
 
 def _random_map(shape=(2, 4, 6), seed=0):
@@ -119,7 +111,7 @@ class TestAdaResNorm:
 class TestGradients:
     def test_zero_upstream(self):
         fm = _random_map(seed=7)
-        g = ada_res_norm_grad(fm, init_params("neutral"), np.zeros(fm.shape))
+        g = ada_res_norm_grad(fm, AdaResNormParams(0.5, 1.0, 0.0), np.zeros(fm.shape))
         assert g.d_a == g.d_b == g.d_c == 0.0
         np.testing.assert_array_equal(g.d_input, 0.0)
 
@@ -175,40 +167,14 @@ class TestGradients:
     def test_shape_mismatch(self):
         fm = _random_map()
         with pytest.raises(ShapeMismatchError):
-            ada_res_norm_grad(fm, init_params("identity"), np.zeros((1, 1, 1)))
+            ada_res_norm_grad(fm, AdaResNormParams(1.0, 1.0, 0.0), np.zeros((1, 1, 1)))
 
 
-class TestInitAndFile:
-    def test_identity_mode(self):
-        params = init_params("identity")
-        assert (params.a, params.b, params.c) == (1.0, 1.0, 0.0)
+class TestParams:
+    def test_identity_params(self):
+        params = AdaResNormParams(a=1.0, b=1.0, c=0.0)
         fm = _random_map(seed=10)
         np.testing.assert_array_equal(ada_res_norm(fm, params).data, fm.data)
 
-    def test_neutral_mode(self):
-        assert init_params("neutral").a == 0.5
-
     def test_default_eps(self):
-        assert init_params("identity").eps == 1e-5
-        assert init_params("neutral").eps == 1e-5
-
-    def test_bad_mode(self):
-        with pytest.raises(InvalidParameterError):
-            init_params("zero")
-
-    def test_file_round_trip(self, tmp_path):
-        params = AdaResNormParams(a=0.37, b=-1.25, c=4.5e-3, eps=2e-6)
-        path = tmp_path / "params.txt"
-        save_params(params, path)
-        assert load_params(path) == params
-        text = path.read_text()
-        assert text.startswith("a=") and " eps=" in text
-
-    def test_file_errors(self, tmp_path):
-        path = tmp_path / "params.txt"
-        path.write_text("a=1.0 b=2.0\n")
-        with pytest.raises(ParseError):
-            load_params(path)
-        path.write_text("a=1.0 b=2.0 c=x eps=1e-5\n")
-        with pytest.raises(ParseError):
-            load_params(path)
+        assert AdaResNormParams(a=0.5, b=1.0, c=0.0).eps == 1e-5
