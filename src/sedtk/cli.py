@@ -44,8 +44,10 @@ def _read_config(path) -> dict[str, tuple[str, str]]:
             continue
         if "=" not in stripped:
             raise UsageError(f"{path}:{i}: config line must be key=value, got {line!r}")
-        key, val = stripped.split("=", 1)
-        values[key.strip()] = (val.strip(), f"{path}:{i}")
+        key, val = (part.strip() for part in stripped.split("=", 1))
+        if key in values:
+            raise UsageError(f"{path}:{i}: key {key!r} is already set at {values[key][1]}")
+        values[key] = (val, f"{path}:{i}")
     return values
 
 
@@ -134,7 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segtruth", default=None, help="segment soft/hard label CSV")
     p.add_argument("--mpauc", action="store_true", help="segment-level macro pAUC")
     p.add_argument("--max-fpr", dest="max_fpr", type=float, default=None)
-    p.add_argument("--class-map", dest="class_map", default=None)
+    p.add_argument(
+        "--class-map", dest="class_map", default=None,
+        help="source<TAB>target file renaming classes before --psds",
+    )
     p.add_argument("--out", default=None, help="also write the report here")
     return parser
 
@@ -330,6 +335,8 @@ def cmd_evaluate(args, cfg) -> int:
     if not 0 < max_fpr <= 1:  # False for NaN
         where = "--max-fpr" if args.max_fpr is not None else f"{cfg['max_fpr'][1]}: max_fpr"
         raise UsageError(f"{where} must be in (0, 1], got {max_fpr}")
+    if args.class_map and not args.psds:
+        raise UsageError("--class-map applies to --psds only")
     _log_config("evaluate", {
         "events": args.events, "truth": args.truth, "durations": args.durations,
         "psds": args.psds, "segscores": args.segscores,

@@ -27,17 +27,6 @@ from .sebb import ScoreTrack
 
 EVENT_HEADER = "filename\tonset\toffset\tevent_label"
 
-# Super-class pairs named for the two-corpus setting; sources not listed
-# pass through unchanged.
-DEFAULT_CLASS_MAP: dict[str, str] = {
-    "people_talking": "Speech",
-    "children_voices": "Speech",
-    "announcements": "Speech",
-    "cutlery_and_dishes": "Dishes",
-    "dog_bark": "Dog",
-}
-
-
 def _float(text: str, what: str, path, line_no: int) -> float:
     try:
         return float(text)

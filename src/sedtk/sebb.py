@@ -49,6 +49,8 @@ class ScoreTrack:
             raise ConfigInvalidError(
                 f"{arr.shape[0]} score rows but {len(self.class_names)} class names"
             )
+        if len(set(self.class_names)) < len(self.class_names):
+            raise ConfigInvalidError(f"class names must be distinct, got {self.class_names}")
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise ScoreOutOfRangeError(
                 f"scores must lie in [0,1], found range "
@@ -126,64 +128,86 @@ def delta_scores(track_row, filter_len: int) -> np.ndarray:
     return fwd - bwd
 
 
-def _boundaries(delta: np.ndarray, threshold: float):
-    """Onset/offset frame candidates: delta extrema beyond +/- threshold."""
+def _boundaries(delta: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
+    """Boundary marks ``(frame, kind, |delta|)`` of one delta row, in frame order.
+
+    Onsets (kind 1) are the peaks above +threshold, offsets (kind -1) the
+    troughs below -threshold.
+    """
     peaks, _ = find_peaks(delta)
     troughs, _ = find_peaks(-delta)
-    onsets = peaks[delta[peaks] > threshold].tolist()
-    offsets = troughs[delta[troughs] < -threshold].tolist()
-    return onsets, offsets
-
-
-def _pair_boundaries(onsets, offsets, delta, n_frames):
-    """Alternate and pair boundaries; returns (onset, offset) frame spans.
-
-    Runs of same-type boundaries collapse to the strongest |delta| member
-    (ties go to the earliest). An unmatched leading offset opens at frame 0;
-    an unmatched trailing onset closes at the final frame boundary.
-    """
-    marks = sorted(
-        [(t, 1, abs(delta[t])) for t in onsets] + [(t, -1, abs(delta[t])) for t in offsets]
+    peaks = peaks[delta[peaks] > threshold]
+    troughs = troughs[delta[troughs] < -threshold]
+    return sorted(
+        [(t, 1, abs(d)) for t, d in zip(peaks.tolist(), delta[peaks].tolist())]
+        + [(t, -1, abs(d)) for t, d in zip(troughs.tolist(), delta[troughs].tolist())]
     )
-    collapsed = []
-    for kind, group in itertools.groupby(marks, key=lambda m: m[1]):
-        group = list(group)
-        best = max(group, key=lambda m: m[2])
-        collapsed.append((best[0], kind))
+
+
+def _candidate_frames(row: np.ndarray, marks, threshold: float) -> list[list]:
+    """``[onset_frame, offset_frame, confidence]`` spans of one score row.
+
+    Only the ``_boundaries`` marks with |delta| above threshold count. Runs
+    of same-kind marks collapse to the strongest |delta| member (ties go to
+    the earliest), then boundaries pair in temporal order: an unmatched
+    leading offset opens at frame 0, an unmatched trailing onset closes at
+    the final frame boundary. The confidence is the mean score over the span.
+    """
     spans = []
     pending_onset = None
-    for t, kind in collapsed:
+    strong = (m for m in marks if m[2] > threshold)
+    for kind, group in itertools.groupby(strong, key=lambda m: m[1]):
+        t = max(group, key=lambda m: m[2])[0]
         if kind == 1:
             pending_onset = t
         else:
             spans.append((pending_onset if pending_onset is not None else 0, t))
             pending_onset = None
     if pending_onset is not None:
-        spans.append((pending_onset, n_frames))
-    return spans
+        spans.append((pending_onset, row.shape[-1]))
+    return [[a, b, float(row[a:b].mean())] for a, b in spans]
+
+
+def _merge_frames(events: list[list], row: np.ndarray, abs_thr: float, rel_thr: float):
+    """Gap-merge sorted ``[onset_frame, offset_frame, confidence]`` spans to a fixpoint.
+
+    See ``merge_gaps`` for the rule. ``events`` and its items are not modified.
+    """
+    changed = True
+    while changed:
+        changed = False
+        merged = []
+        for ev in events:
+            if merged:
+                prev = merged[-1]
+                gap = row[prev[1] : ev[0]]
+                if gap.size == 0:
+                    do_merge = True
+                else:
+                    gap_mean = float(gap.mean())
+                    do_merge = (
+                        gap_mean >= abs_thr
+                        and min(prev[2], ev[2]) / gap_mean <= rel_thr
+                    )
+                if do_merge:
+                    merged[-1] = [prev[0], ev[1], float(row[prev[0] : ev[1]].mean())]
+                    changed = True
+                    continue
+            merged.append(ev)
+        events = merged
+    return events
 
 
 def detect_candidates(track: ScoreTrack, cfg: CsebbConfig) -> dict[str, list[SEBB]]:
     """Candidate bounding boxes per class, before gap merging."""
+    hop, bt = track.hop_seconds, cfg.boundary_threshold
     out: dict[str, list[SEBB]] = {}
     deltas = delta_scores(track.scores, cfg.filter_len)
-    for k, cname in enumerate(track.class_names):
-        row = track.scores[k]
-        delta = deltas[k]
-        onsets, offsets = _boundaries(delta, cfg.boundary_threshold)
-        spans = _pair_boundaries(onsets, offsets, delta, track.n_frames)
-        cands = []
-        for on_f, off_f in spans:
-            conf = float(row[on_f:off_f].mean())
-            cands.append(
-                SEBB(
-                    onset_s=on_f * track.hop_seconds,
-                    offset_s=off_f * track.hop_seconds,
-                    class_name=cname,
-                    confidence=conf,
-                )
-            )
-        out[cname] = cands
+    for cname, row, delta in zip(track.class_names, track.scores, deltas):
+        out[cname] = [
+            SEBB(onset_s=a * hop, offset_s=b * hop, class_name=cname, confidence=conf)
+            for a, b, conf in _candidate_frames(row, _boundaries(delta, bt), bt)
+        ]
     return out
 
 
@@ -203,41 +227,17 @@ def merge_gaps(
     row = np.asarray(track_row, dtype=np.float64)
     if len({s.class_name for s in cands}) > 1:
         raise InvalidParameterError("merge_gaps expects candidates of one class")
-    events = []
-    for s in cands:
-        on_f = int(round(s.onset_s / hop_seconds))
-        off_f = int(round(s.offset_s / hop_seconds))
-        events.append([on_f, off_f, s.confidence])
+    events = [
+        [int(round(s.onset_s / hop_seconds)), int(round(s.offset_s / hop_seconds)), s.confidence]
+        for s in cands
+    ]
     for prev, cur in zip(events, events[1:]):
         if cur[0] < prev[1]:
             raise UnsortedInputError(
                 "candidates must be sorted by onset and non-overlapping"
             )
     cname = cands[0].class_name if cands else ""
-
-    changed = True
-    while changed:
-        changed = False
-        merged = []
-        for ev in events:
-            if merged:
-                prev = merged[-1]
-                gap = row[prev[1] : ev[0]]
-                if gap.size == 0:
-                    do_merge = True
-                else:
-                    gap_mean = float(gap.mean())
-                    do_merge = (
-                        gap_mean >= cfg.merge_threshold_abs
-                        and min(prev[2], ev[2]) / gap_mean <= cfg.merge_threshold_rel
-                    )
-                if do_merge:
-                    union = row[prev[0] : ev[1]]
-                    merged[-1] = [prev[0], ev[1], float(union.mean())]
-                    changed = True
-                    continue
-            merged.append(list(ev))
-        events = merged
+    merged = _merge_frames(events, row, cfg.merge_threshold_abs, cfg.merge_threshold_rel)
     return [
         SEBB(
             onset_s=on_f * hop_seconds,
@@ -245,7 +245,7 @@ def merge_gaps(
             class_name=cname,
             confidence=conf,
         )
-        for on_f, off_f, conf in events
+        for on_f, off_f, conf in merged
     ]
 
 
@@ -321,27 +321,39 @@ def tune_csebb(
     if any(len(v) == 0 for v in axes.values()):
         raise EmptyGridError("every grid axis needs at least one value")
 
+    seen: set[str] = set()
+    for tr in tracks:
+        if tr.clip_id in seen:
+            raise InvalidParameterError(f"clip id {tr.clip_id!r} names more than one track")
+        seen.add(tr.clip_id)
+    merges = list(itertools.product(axes["merge_threshold_abs"], axes["merge_threshold_rel"]))
+
+    # Each stage runs once for the axes it depends on: peaks and troughs per
+    # filter_len (the marks beyond the smallest boundary_threshold serve every
+    # one), candidate spans per boundary_threshold, merging per merge pair.
+    floor = axes["boundary_threshold"][0]
     best: tuple[float, CsebbConfig] | None = None
-    for fl, bt, ma, mr in itertools.product(
-        axes["filter_len"],
-        axes["boundary_threshold"],
-        axes["merge_threshold_abs"],
-        axes["merge_threshold_rel"],
-    ):
-        cfg = CsebbConfig(
-            filter_len=fl,
-            merge_threshold_abs=ma,
-            merge_threshold_rel=mr,
-            boundary_threshold=bt,
-        )
-        sebbs_by_clip = {tr.clip_id: detect_sebbs(tr, cfg) for tr in tracks}
-        scored = [
-            (s.confidence, Event(clip_id, s.class_name, s.onset_s, s.offset_s))
-            for clip_id, found in sebbs_by_clip.items()
-            for s in found
-        ]
-        value = psds(psd_roc(scored, truth))
-        if best is None or value > best[0] + 1e-12:
-            best = (value, cfg)
+    for fl in axes["filter_len"]:
+        marks = [[_boundaries(d, floor) for d in delta_scores(tr.scores, fl)] for tr in tracks]
+        for bt in axes["boundary_threshold"]:
+            cands = [
+                [_candidate_frames(row, m, bt) for row, m in zip(tr.scores, track_marks)]
+                for tr, track_marks in zip(tracks, marks)
+            ]
+            for ma, mr in merges:
+                cfg = CsebbConfig(fl, ma, mr, bt)
+                scored = []
+                for tr, per_class in zip(tracks, cands):
+                    hop = tr.hop_seconds
+                    found = [
+                        (conf, Event(tr.clip_id, cname, a * hop, b * hop))
+                        for cname, row, spans in zip(tr.class_names, tr.scores, per_class)
+                        for a, b, conf in _merge_frames(spans, row, ma, mr)
+                    ]
+                    found.sort(key=lambda s: (s[1].onset_s, s[1].class_name))
+                    scored += found
+                value = psds(psd_roc(scored, truth))
+                if best is None or value > best[0] + 1e-12:
+                    best = (value, cfg)
     assert best is not None
     return best[1]

@@ -197,6 +197,17 @@ class TestEvaluate:
     def test_needs_a_metric_flag(self, tmp_path):
         assert run(["evaluate"]) == 1
 
+    def test_class_map_without_psds_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"  # rejected before any file is read
+        code = run([
+            "evaluate", "--mpauc", "--segscores", str(missing), "--segtruth", str(missing),
+            "--class-map", str(tmp_path / "missing.tsv"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "usage error: --class-map applies to --psds only" in captured.err
+        assert captured.out == ""
+
 
 class TestAugment:
     def test_p_zero_is_byte_identical(self, tmp_path, fmt_file):
@@ -416,6 +427,28 @@ class TestPostprocessAndTune:
         assert code == 1
         assert f"usage error: {values}:{line}:" in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, flag", [("tune-sebb", "--grid"), ("postprocess", "--config")])
+    def test_repeated_key_is_usage_error_naming_both_lines(
+        self, tmp_path, capsys, command, flag
+    ):
+        values = tmp_path / "values.cfg"
+        values.write_text("filter_len=5\n# second thoughts\nfilter_len = 21\n")
+        missing = tmp_path / "missing.csv"
+        argv = {
+            "tune-sebb": ["tune-sebb", "--scores", str(missing), "--truth", str(missing),
+                          "--durations", str(missing)],
+            "postprocess": ["postprocess", "--scores", str(missing),
+                            "--out", str(tmp_path / "ev.tsv")],
+        }[command]
+        code = run(argv + [flag, str(values)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert (
+            f"usage error: {values}:3: key 'filter_len' is already set at {values}:1"
+            in captured.err
+        )
         assert captured.out == ""
 
     def test_bad_grid_is_reported_before_scores_are_read(self, tmp_path, capsys):

@@ -1,9 +1,16 @@
 """Change-point bounding boxes: delta filter, candidates, merging, tuning."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
+import sedtk.sebb
 from sedtk.errors import (
+    ConfigInvalidError,
     EmptyGridError,
     InvalidFilterLenError,
     InvalidParameterError,
@@ -183,6 +190,10 @@ class TestDetectCandidates:
     def test_score_range_enforced(self):
         with pytest.raises(ScoreOutOfRangeError):
             _track(np.array([0.0, 1.2, 0.5]))
+
+    def test_repeated_class_name_rejected(self):
+        with pytest.raises(ConfigInvalidError, match="distinct"):
+            _track(np.zeros((2, 10)), class_names=("dog", "dog"))
 
 
 class TestMergeGaps:
@@ -379,3 +390,161 @@ class TestTuneCsebb:
         tracks, truth = self._fixture()
         with pytest.raises(InvalidParameterError):
             tune_csebb(tracks, truth, {"window": [3]})
+
+    def test_repeated_clip_id_rejected(self):
+        tracks, truth = self._fixture()
+        with pytest.raises(InvalidParameterError, match="'c1'"):
+            tune_csebb(tracks + [tracks[1]], truth, {"filter_len": [7]})
+
+
+# The per-config pipeline as it was before tune_csebb grouped its work: every
+# grid point runs detection and merging from scratch through SEBB objects.
+def _reference_detect_sebbs(track, cfg):
+    hop, n_frames = track.hop_seconds, track.n_frames
+    out = []
+    for k, cname in enumerate(track.class_names):
+        row = track.scores[k]
+        delta = delta_scores(row, cfg.filter_len)
+        peaks, _ = find_peaks(delta)
+        troughs, _ = find_peaks(-delta)
+        onsets = peaks[delta[peaks] > cfg.boundary_threshold].tolist()
+        offsets = troughs[delta[troughs] < -cfg.boundary_threshold].tolist()
+        marks = sorted(
+            [(t, 1, abs(delta[t])) for t in onsets] + [(t, -1, abs(delta[t])) for t in offsets]
+        )
+        collapsed = []
+        for kind, group in itertools.groupby(marks, key=lambda m: m[1]):
+            collapsed.append((max(list(group), key=lambda m: m[2])[0], kind))
+        spans, pending = [], None
+        for t, kind in collapsed:
+            if kind == 1:
+                pending = t
+            else:
+                spans.append((pending if pending is not None else 0, t))
+                pending = None
+        if pending is not None:
+            spans.append((pending, n_frames))
+        cands = [SEBB(a * hop, b * hop, cname, float(row[a:b].mean())) for a, b in spans]
+        events = [
+            [int(round(s.onset_s / hop)), int(round(s.offset_s / hop)), s.confidence]
+            for s in cands
+        ]
+        changed = True
+        while changed:
+            changed = False
+            merged = []
+            for ev in events:
+                if merged:
+                    prev = merged[-1]
+                    gap = row[prev[1] : ev[0]]
+                    if gap.size == 0:
+                        do_merge = True
+                    else:
+                        gap_mean = float(gap.mean())
+                        do_merge = (
+                            gap_mean >= cfg.merge_threshold_abs
+                            and min(prev[2], ev[2]) / gap_mean <= cfg.merge_threshold_rel
+                        )
+                    if do_merge:
+                        merged[-1] = [prev[0], ev[1], float(row[prev[0] : ev[1]].mean())]
+                        changed = True
+                        continue
+                merged.append(list(ev))
+            events = merged
+        out += [SEBB(a * hop, b * hop, cname, conf) for a, b, conf in events]
+    out.sort(key=lambda s: (s.onset_s, s.class_name))
+    return out
+
+
+def _reference_grid(tracks, truth, grid):
+    """(config, scored list, PSDS) of every grid point, in tune_csebb's order."""
+    points = []
+    for fl, bt, ma, mr in itertools.product(
+        *(sorted(grid[k]) for k in (
+            "filter_len", "boundary_threshold", "merge_threshold_abs", "merge_threshold_rel",
+        ))
+    ):
+        cfg = CsebbConfig(
+            filter_len=fl, merge_threshold_abs=ma, merge_threshold_rel=mr, boundary_threshold=bt,
+        )
+        by_clip = {tr.clip_id: _reference_detect_sebbs(tr, cfg) for tr in tracks}
+        scored = [
+            (s.confidence, Event(clip, s.class_name, s.onset_s, s.offset_s))
+            for clip, found in by_clip.items()
+            for s in found
+        ]
+        points.append((cfg, scored, psds(psd_roc(scored, truth))))
+    return points
+
+
+LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def _tuning_case(draw):
+    names = ("dog", "cat", "bird")[: draw(st.integers(1, 3))]
+    hop = draw(st.sampled_from([0.016, 0.02, 0.1]))
+    tracks, events = [], []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(3, 90))  # tracks of different lengths
+        rows = []
+        for cname in names:
+            kind = draw(st.sampled_from(["zero", "levels", "uniform"]))
+            if kind == "zero":
+                row = [0.0] * n
+            elif kind == "levels":  # runs of a few levels: plateaus and |delta| ties
+                row = []
+                while len(row) < n:
+                    row += [draw(st.sampled_from(LEVELS))] * draw(st.integers(1, 12))
+            else:
+                row = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+            rows.append(row[:n])
+            if draw(st.booleans()):
+                a = draw(st.integers(0, n - 1))
+                b = draw(st.integers(a + 1, n))
+                events.append(Event(f"c{i}", cname, a * hop, b * hop))
+        tracks.append(ScoreTrack(np.array(rows), hop, names, f"c{i}"))
+    truth = AnnotationSet(
+        events=events, clip_durations={tr.clip_id: tr.n_frames * hop for tr in tracks},
+    )
+
+    def axis(values, max_size=2):
+        return draw(st.lists(st.sampled_from(values), min_size=2, max_size=max_size, unique=True))
+
+    grid = {
+        "filter_len": axis([3, 5, 7, 9, 11, 21], max_size=3),
+        "boundary_threshold": axis([0.02, 0.05, 0.1, 0.25]),
+        "merge_threshold_abs": axis([0.05, 0.15, 0.3, 0.6]),
+        "merge_threshold_rel": axis([0.5, 1.0, 1.5, 3.0]),
+    }
+    return tracks, truth, grid
+
+
+class TestTuneCsebbMatchesPerConfigPipeline:
+    @settings(max_examples=60, deadline=None)
+    @given(_tuning_case())
+    def test_every_grid_point_scored_list_and_psds_are_identical(self, case):
+        tracks, truth, grid = case
+        seen_scored, seen_psds = [], []
+
+        def recording_psd_roc(scored, *args):
+            seen_scored.append(list(scored))
+            return psd_roc(scored, *args)
+
+        def recording_psds(*args):
+            seen_psds.append(psds(*args))
+            return seen_psds[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sedtk.sebb, "psd_roc", recording_psd_roc)
+            mp.setattr(sedtk.sebb, "psds", recording_psds)
+            best = tune_csebb(tracks, truth, grid)
+
+        reference = _reference_grid(tracks, truth, grid)
+        assert seen_scored == [scored for _, scored, _ in reference]
+        assert seen_psds == [value for _, _, value in reference]
+        winner = None
+        for cfg, _, value in reference:
+            if winner is None or value > winner[1] + 1e-12:
+                winner = (cfg, value)
+        assert best == winner[0]
