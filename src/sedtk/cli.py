@@ -226,14 +226,12 @@ def cmd_postprocess(args, cfg) -> int:
     })
     thresholds: dict[str, float] = {}
     if args.thresholds_file:
-        text = Path(args.thresholds_file).read_text(encoding="utf-8")
-        for i, line in enumerate(text.splitlines(), 1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
+        try:
+            pairs = dataio._read_tab_pairs(args.thresholds_file, "class<TAB>threshold")
+        except ParseError as exc:
+            raise UsageError(str(exc)) from None
+        for cls, (value, i) in pairs.items():
             where = f"{args.thresholds_file}:{i}"
-            if line.count("\t") != 1:
-                raise UsageError(f"{where}: expected class<TAB>threshold, got {line!r}")
-            cls, value = line.split("\t")
             thresholds[cls] = _cast(float, cls, value, where)
             if not 0.0 <= thresholds[cls] <= 1.0:
                 raise UsageError(

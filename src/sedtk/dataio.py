@@ -77,21 +77,37 @@ def write_events(events: Sequence[Event], path) -> None:
             fh.write(f"{e.clip_id}\t{e.onset_s:.6f}\t{e.offset_s:.6f}\t{e.class_name}\n")
 
 
-def read_durations(path) -> dict[str, float]:
-    """Parse clip_id<TAB>seconds lines; '#' comments allowed."""
-    durations: dict[str, float] = {}
+def _read_tab_pairs(path, shape: str) -> dict[str, tuple[str, int]]:
+    """Map the first field of each ``shape`` line to its second field and line.
+
+    Blank lines and '#' comments are skipped. A line that is not two
+    non-empty TAB-separated fields, or that repeats an earlier first field,
+    is a ``ParseError``.
+    """
+    pairs: dict[str, tuple[str, int]] = {}
     for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(parts):
+            raise ParseError(f"expected {shape}, got {line!r}", path=path, line=i)
+        key, value = parts
+        if key in pairs:
             raise ParseError(
-                f"expected clip_id<TAB>seconds, got {line!r}", path=path, line=i
+                f"key {key!r} is already set at {path}:{pairs[key][1]}", path=path, line=i
             )
-        value = _float(parts[1], "duration", path, i)
+        pairs[key] = (value, i)
+    return pairs
+
+
+def read_durations(path) -> dict[str, float]:
+    """Parse clip_id<TAB>seconds lines; '#' comments allowed."""
+    durations: dict[str, float] = {}
+    for clip, (text, i) in _read_tab_pairs(path, "clip_id<TAB>seconds").items():
+        value = _float(text, "duration", path, i)
         if not value > 0:
             raise ParseError(f"duration must be > 0, got {value}", path=path, line=i)
-        durations[parts[0]] = value
+        durations[clip] = value
     return durations
 
 
@@ -103,17 +119,7 @@ def write_durations(durations: Mapping[str, float], path) -> None:
 
 def read_class_map(path) -> dict[str, str]:
     """Parse source<TAB>target lines; '#' starts a comment."""
-    pairs: dict[str, str] = {}
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ParseError(
-                f"expected source<TAB>target, got {line!r}", path=path, line=i
-            )
-        pairs[parts[0]] = parts[1]
+    pairs = {src: dst for src, (dst, _) in _read_tab_pairs(path, "source<TAB>target").items()}
     _check_chain_free(pairs)
     return pairs
 

@@ -105,51 +105,21 @@ def intersection_match(
     in the same clip covers at least rho_dtc of its duration; invalid
     detections are false positives. A truth event is a true positive when
     valid detections cover at least rho_gtc of it.
-    """
-    classes = sorted({e.class_name for e in dets} | {e.class_name for e in truth})
-    dets_by: dict[tuple[str, str], list[Event]] = {}
-    truth_by: dict[tuple[str, str], list[Event]] = {}
-    for e in dets:
-        dets_by.setdefault((e.clip_id, e.class_name), []).append(e)
-    for e in truth:
-        truth_by.setdefault((e.clip_id, e.class_name), []).append(e)
 
-    counts: dict[str, tuple[int, int]] = {}
-    for cls in classes:
-        tp = fp = 0
-        clips = {c for c, k in dets_by if k == cls} | {c for c, k in truth_by if k == cls}
-        for clip in sorted(clips):
-            d_list = dets_by.get((clip, cls), [])
-            t_list = truth_by.get((clip, cls), [])
-            valid = []
-            for d in d_list:
-                inter = sum(
-                    _overlap(d.onset_s, d.offset_s, t.onset_s, t.offset_s)
-                    for t in t_list
-                )
-                if inter / d.duration_s >= rho_dtc:
-                    valid.append(d)
-                else:
-                    fp += 1
-            for t in t_list:
-                inter = sum(
-                    _overlap(d.onset_s, d.offset_s, t.onset_s, t.offset_s)
-                    for d in valid
-                )
-                if inter / t.duration_s >= rho_gtc:
-                    tp += 1
-        counts[cls] = (tp, fp)
-    return counts
+    Overlaps are summed, not merged: a duplicated detection adds its
+    overlap to a truth event's coverage twice, and overlapping same-class
+    truth events add to a detection's intersection twice.
+    """
+    return _scored_counts([(1.0, d) for d in dets], truth, rho_dtc, rho_gtc, (1.0,))[0]
 
 
 def _reach(t: Event, valid: Sequence[tuple[float, Event]], rho_gtc: float) -> float:
     """Highest confidence at which the valid detections at or above it cover
     rho_gtc of ``t``; -inf when no threshold makes ``t`` a true positive.
 
-    Overlaps are summed in list order, as ``intersection_match`` sums them,
-    so the verdict at each threshold is bit-identical to it. Adding a
-    nonnegative term never lowers a rounded sum, so coverage only grows as
-    the threshold falls and the first level that passes is the answer.
+    Coverage is the sum of the overlaps in list order. Adding a nonnegative
+    term never lowers a rounded sum, so coverage only grows as the threshold
+    falls and the first level that passes is the answer.
     """
     hits = [
         (conf, ov)
@@ -168,14 +138,20 @@ def _count_at_or_above(values: list[float], thresholds: np.ndarray) -> np.ndarra
 
 
 def _scored_counts(
-    scored: Sequence[tuple[float, Event]], truth: Sequence[Event], cfg: PsdsConfig
+    scored: Sequence[tuple[float, Event]],
+    truth: Sequence[Event],
+    rho_dtc: float,
+    rho_gtc: float,
+    thresholds: Sequence[float],
 ) -> list[dict[str, tuple[int, int]]]:
-    """``intersection_match`` counts at every threshold from one matching pass.
+    """Per-class (TP, FP) at every threshold from one matching pass.
 
-    A detection's dtc validity and a truth event's reach confidence do not
-    depend on the threshold; at threshold tau the invalid detections with
-    confidence >= tau are the false positives and the truth events whose
-    reach is >= tau the true positives.
+    The detections at threshold tau are those with confidence >= tau. A
+    detection is valid when the sum of its overlaps with same-class truth in
+    the same clip covers at least rho_dtc of it; that does not depend on the
+    threshold. At tau the invalid detections at or above tau are the false
+    positives, and the truth events whose ``_reach`` is >= tau the true
+    positives.
     """
     dets_by: dict[tuple[str, str], list[tuple[float, Event]]] = {}
     truth_by: dict[tuple[str, str], list[Event]] = {}
@@ -194,23 +170,23 @@ def _scored_counts(
             inter = sum(
                 _overlap(d.onset_s, d.offset_s, t.onset_s, t.offset_s) for t in t_list
             )
-            if inter / d.duration_s >= cfg.rho_dtc:
+            if inter / d.duration_s >= rho_dtc:
                 valid.append((conf, d))
             else:
                 fp_confs.setdefault(cls, []).append(conf)
-        reach.setdefault(cls, []).extend(_reach(t, valid, cfg.rho_gtc) for t in t_list)
+        reach.setdefault(cls, []).extend(_reach(t, valid, rho_gtc) for t in t_list)
 
-    thresholds = np.asarray(cfg.thresholds, dtype=np.float64)
+    levels = np.asarray(thresholds, dtype=np.float64)
     per_class = {
         cls: (
-            _count_at_or_above(reach.get(cls, []), thresholds).tolist(),
-            _count_at_or_above(fp_confs.get(cls, []), thresholds).tolist(),
+            _count_at_or_above(reach.get(cls, []), levels).tolist(),
+            _count_at_or_above(fp_confs.get(cls, []), levels).tolist(),
         )
-        for cls in reach.keys() | fp_confs.keys()
+        for cls in sorted(reach.keys() | fp_confs.keys())
     }
     return [
         {cls: (tp[i], fp[i]) for cls, (tp, fp) in per_class.items()}
-        for i in range(thresholds.size)
+        for i in range(levels.size)
     ]
 
 
@@ -241,7 +217,8 @@ def psd_roc(
 
     The TPR mean/std run over the classes present in the truth events.
     False positives of every class count toward the per-hour rate,
-    normalized by the total annotated audio duration.
+    normalized by the total annotated audio duration, so every clip that a
+    truth event or a detection names must have a duration.
     """
     if not truth.clip_durations:
         raise InvalidParameterError("truth must carry clip durations for eFPR")
@@ -254,8 +231,18 @@ def psd_roc(
     if callable(detections):
         detections = [detections(t) for t in cfg.thresholds]
     detections = list(detections)
-    if _is_scored(detections):
-        per_threshold = _scored_counts(detections, truth.events, cfg)
+    is_scored = _is_scored(detections)
+    events = (e for _, e in detections) if is_scored else (e for d in detections for e in d)
+    clips = {e.clip_id for e in events}.union(e.clip_id for e in truth.events)
+    missing = sorted(clips - truth.clip_durations.keys())
+    if missing:
+        named = ", ".join(map(repr, missing[:5]))
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise InvalidParameterError(f"no duration for clip {named}{more}")
+    if is_scored:
+        per_threshold = _scored_counts(
+            detections, truth.events, cfg.rho_dtc, cfg.rho_gtc, cfg.thresholds
+        )
     else:
         per_threshold = (
             intersection_match(dets, truth.events, cfg.rho_dtc, cfg.rho_gtc)

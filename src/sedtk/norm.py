@@ -49,22 +49,24 @@ class NormGradients:
     d_input: np.ndarray
 
 
+def _whiten(fmap: FeatureMap, eps: float):
+    """The input x in float64, its per-bin whitened form y and the bin scale s."""
+    x = fmap.data.astype(np.float64)
+    mu, var = bin_moments(x, (0, 2))
+    s = np.sqrt(var + eps)
+    return x, (x - mu) / s, s
+
+
 def freq_in(fmap: FeatureMap, eps: float = 1e-5) -> FeatureMap:
     """Whiten each frequency bin: (x - mu_f) / sqrt(var_f + eps)."""
     if not eps > 0:
         raise InvalidParameterError(f"eps must be > 0, got {eps}")
-    x = fmap.data.astype(np.float64)
-    mu, var = bin_moments(x, (0, 2))
-    s = np.sqrt(var + eps)
-    return FeatureMap._own(((x - mu) / s).astype(np.float32))
+    return FeatureMap._own(_whiten(fmap, eps)[1].astype(np.float32))
 
 
 def ada_res_norm(fmap: FeatureMap, params: AdaResNormParams) -> FeatureMap:
     """Blend identity and whitened paths, then scale and shift."""
-    x = fmap.data.astype(np.float64)
-    mu, var = bin_moments(x, (0, 2))
-    s = np.sqrt(var + params.eps)
-    y = (x - mu) / s
+    x, y, _ = _whiten(fmap, params.eps)
     z = (params.a * x + (1.0 - params.a) * y) * params.b + params.c
     return FeatureMap._own(z.astype(np.float32))
 
@@ -87,11 +89,8 @@ def ada_res_norm_grad(
         raise ShapeMismatchError(
             f"upstream shape {u.shape} != input shape {fmap.shape}"
         )
-    x = fmap.data.astype(np.float64)
     a, b = params.a, params.b
-    mu, var = bin_moments(x, (0, 2))
-    s = np.sqrt(var + params.eps)
-    y = (x - mu) / s
+    x, y, s = _whiten(fmap, params.eps)
 
     d_c = u.sum()
     d_b = (u * (a * x + (1.0 - a) * y)).sum()

@@ -197,6 +197,30 @@ class TestEvaluate:
     def test_needs_a_metric_flag(self, tmp_path):
         assert run(["evaluate"]) == 1
 
+    @pytest.mark.parametrize("command", ["evaluate", "tune-sebb"])
+    def test_clip_without_duration_is_data_error(self, tmp_path, capsys, command):
+        events, truth, durs = _perfect_fixture(tmp_path)
+        write_events([Event(c, "dog", 1.0, 2.0) for c in "abc"], events)
+        if command == "tune-sebb":  # flat scores give no detections; truth names b and c
+            write_events([Event(c, "dog", 1.0, 2.0) for c in "abc"], truth)
+        scores = tmp_path / "scores.csv"
+        write_scores([
+            ScoreTrack(scores=np.full((1, 50), 0.5), hop_seconds=0.02,
+                       class_names=("dog",), clip_id=c)
+            for c in "abc"
+        ], scores)
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("filter_len=5\n")
+        argv = {
+            "evaluate": ["evaluate", "--psds", "--events", str(events)],
+            "tune-sebb": ["tune-sebb", "--scores", str(scores), "--grid", str(grid)],
+        }[command]
+        code = run(argv + ["--truth", str(truth), "--durations", str(durs)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: no duration for clip 'b', 'c'" in captured.err
+        assert captured.out == ""
+
     def test_class_map_without_psds_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"  # rejected before any file is read
         code = run([
@@ -395,6 +419,8 @@ class TestPostprocessAndTune:
             ("postprocess", "--thresholds-file", "# per class\nSpeech 0.3\n", 2),
             ("postprocess", "--thresholds-file", "dog\t1.5\n", 1),
             ("postprocess", "--thresholds-file", "Speech\t0.3\ndog\tnan\n", 2),
+            ("postprocess", "--thresholds-file", "dog\t0.3\ndog\t0.9\n", 2),
+            ("postprocess", "--thresholds-file", "\t0.3\n", 1),
             ("features", "--config", "n_mels=16\ndomain=foo\n", 2),
             ("evaluate", "--config", "max_fpr=0\n", 1),
             ("evaluate", "--config", "# cap\nmax_fpr=nan\n", 2),
@@ -449,6 +475,21 @@ class TestPostprocessAndTune:
             f"usage error: {values}:3: key 'filter_len' is already set at {values}:1"
             in captured.err
         )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--durations", "--class-map"])
+    def test_repeated_key_in_tab_pair_file_is_data_error_naming_both_lines(
+        self, tmp_path, capsys, flag
+    ):
+        values = tmp_path / "values.tsv"
+        values.write_text("dog\t5\n# second thoughts\ndog\t9\n")
+        events, truth, durs = _perfect_fixture(tmp_path)
+        argv = ["evaluate", "--psds", "--events", str(events), "--truth", str(truth)]
+        if flag == "--class-map":
+            argv += ["--durations", str(durs)]
+        assert run(argv + [flag, str(values)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {values}:3: key 'dog' is already set at {values}:1" in captured.err
         assert captured.out == ""
 
     def test_bad_grid_is_reported_before_scores_are_read(self, tmp_path, capsys):

@@ -108,6 +108,13 @@ class TestDurations:
             read_durations(path)
         assert err.value.line == 1
 
+    def test_repeated_clip_rejected(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("a\t10\nb\t10\na\t20\n")
+        with pytest.raises(ParseError, match=f"key 'a' is already set at {path}:1$") as err:
+            read_durations(path)
+        assert err.value.line == 3
+
 
 # Super-class pairs of the two-corpus setting; sources not listed pass through.
 CLASS_MAP = {
@@ -152,6 +159,13 @@ class TestClassMap:
         with pytest.raises(ParseError) as err:
             read_class_map(path)
         assert err.value.line == 1
+
+    def test_repeated_source_rejected(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text("# map\ndog\tdog_super\ndog\tcat\n")
+        with pytest.raises(ParseError, match=f"key 'dog' is already set at {path}:2$") as err:
+            read_class_map(path)
+        assert err.value.line == 3
 
 
 class TestScores:

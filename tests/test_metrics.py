@@ -14,6 +14,7 @@ from sedtk.metrics import (
     AnnotationSet,
     Event,
     PsdsConfig,
+    _scored_counts,
     intersection_match,
     joint_score,
     mpauc_report,
@@ -91,6 +92,26 @@ class TestIntersectionMatch:
         counts = intersection_match(dets, truth)
         assert counts["dog"] == (0, 1)
         assert counts["cat"] == (0, 1)
+
+    # Overlaps are summed, not merged into a union; both forms share that rule.
+    def test_duplicated_detection_adds_its_overlap_twice(self):
+        truth = [Event("a", "dog", 0.0, 10.0)]
+        det = Event("a", "dog", 0.0, 4.0)
+        # coverage 4 + 4 of 10 passes rho_gtc=0.7; the union, 4 of 10, would not
+        assert intersection_match([det, det], truth, 0.7, 0.7)["dog"] == (1, 0)
+        assert intersection_match([det], truth, 0.7, 0.7)["dog"] == (0, 0)
+        # scored: both copies count at 0.3, only the 0.9 copy at 0.5
+        counts = _scored_counts([(0.9, det), (0.4, det)], truth, 0.7, 0.7, (0.3, 0.5))
+        assert counts == [{"dog": (1, 0)}, {"dog": (0, 0)}]
+
+    def test_overlapping_truth_events_add_to_a_detection_twice(self):
+        truth = [Event("a", "dog", 0.0, 4.0), Event("a", "dog", 0.0, 4.0)]
+        det = Event("a", "dog", 0.0, 10.0)
+        # intersection 4 + 4 of 10 passes rho_dtc=0.7; the union, 4 of 10, would not
+        assert intersection_match([det], truth, 0.7, 0.7)["dog"] == (2, 0)
+        assert intersection_match([det], truth[:1], 0.7, 0.7)["dog"] == (0, 1)
+        counts = _scored_counts([(0.6, det)], truth, 0.7, 0.7, (0.5, 0.7))
+        assert counts == [{"dog": (2, 0)}, {"dog": (0, 0)}]
 
 
 class TestPsdRoc:
@@ -176,6 +197,19 @@ class TestPsdRoc:
         with pytest.raises(InvalidParameterError):
             psd_roc([[]], truth)
 
+    @pytest.mark.parametrize("form", ["lists", "scored"])
+    def test_clips_without_a_duration_are_named(self, form):
+        truth = AnnotationSet(
+            events=[Event(c, "dog", 0.0, 1.0) for c in "agfed"],
+            clip_durations={"a": 10.0},
+        )
+        dets = [Event("c", "dog", 0.0, 1.0), Event("b", "dog", 0.0, 1.0)]
+        detections = [dets] if form == "lists" else [(0.5, e) for e in dets]
+        with pytest.raises(
+            InvalidParameterError, match="no duration for clip 'b', 'c', 'd', 'e', 'f' and 1 more$"
+        ):
+            psd_roc(detections, truth)
+
 
 _THRESHOLDS = (0.2, 0.4, 0.6, 0.8)
 _DEFAULT_THRESHOLDS = PsdsConfig().thresholds
@@ -217,11 +251,40 @@ def _scored_case(draw):
     return truth_events, scored, cfg
 
 
-def _curve_and_warnings(detections, truth, cfg):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        curve = psd_roc(detections, truth, cfg)
-    return curve, [(w.category, str(w.message)) for w in caught]
+def _parent_intersection_match(dets, truth, rho_dtc, rho_gtc):
+    """The per-list matcher that preceded the shared engine, kept as the oracle."""
+    classes = sorted({e.class_name for e in dets} | {e.class_name for e in truth})
+    dets_by, truth_by = {}, {}
+    for e in dets:
+        dets_by.setdefault((e.clip_id, e.class_name), []).append(e)
+    for e in truth:
+        truth_by.setdefault((e.clip_id, e.class_name), []).append(e)
+
+    def overlap(a, b):
+        return max(0.0, min(a.offset_s, b.offset_s) - max(a.onset_s, b.onset_s))
+
+    counts = {}
+    for cls in classes:
+        tp = fp = 0
+        clips = {c for c, k in dets_by if k == cls} | {c for c, k in truth_by if k == cls}
+        for clip in sorted(clips):
+            d_list = dets_by.get((clip, cls), [])
+            t_list = truth_by.get((clip, cls), [])
+            valid = []
+            for d in d_list:
+                if sum(overlap(d, t) for t in t_list) / d.duration_s >= rho_dtc:
+                    valid.append(d)
+                else:
+                    fp += 1
+            for t in t_list:
+                if sum(overlap(d, t) for d in valid) / t.duration_s >= rho_gtc:
+                    tp += 1
+        counts[cls] = (tp, fp)
+    return counts
+
+
+def _nonzero(counts):
+    return {cls: n for cls, n in counts.items() if n != (0, 0)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -229,14 +292,23 @@ def _curve_and_warnings(detections, truth, cfg):
 @example(([Event("a", "dog", 1.0, 2.0)], [], PsdsConfig()))
 @example(([Event("a", "dog", 1.0, 2.0)], [(0.5, Event("a", "dog", 1.0, 2.0))],
           PsdsConfig(thresholds=(0.5,))))
+# Coverage 0.2 + 0.3999999999999999 + 0.09999999999999998 sums to just under
+# 0.7 in list order but to 0.7 in ascending order: the order is part of the rule.
+@example(([Event("a", "dog", 0.0, 1.0)],
+          [(0.5, Event("a", "dog", on, off)) for on, off in
+           [(0.0, 0.2), (0.6000000000000001, 1.0), (0.7000000000000001, 0.8)]],
+          PsdsConfig(thresholds=(0.5,))))
 def test_scored_sweep_equals_per_threshold_matching(case):
     truth_events, scored, cfg = case
+    rho = (cfg.rho_dtc, cfg.rho_gtc)
+    per_tau = [[e for c, e in scored if c >= tau] for tau in cfg.thresholds]
+    want = [_parent_intersection_match(dets, truth_events, *rho) for dets in per_tau]
+    assert [intersection_match(dets, truth_events, *rho) for dets in per_tau] == want
+    # The sweep also lists a class whose detections all fall below tau, as (0, 0).
+    swept = _scored_counts(scored, truth_events, *rho, cfg.thresholds)
+    assert [_nonzero(c) for c in swept] == [_nonzero(c) for c in want]
     truth = AnnotationSet(events=truth_events, clip_durations=_DURATIONS)
-    fast = _curve_and_warnings(scored, truth, cfg)
-    slow = _curve_and_warnings(
-        lambda tau: [e for c, e in scored if c >= tau], truth, cfg
-    )
-    assert fast == slow
+    assert psd_roc(scored, truth, cfg) == psd_roc(per_tau, truth, cfg)
 
 
 class TestPsds:
