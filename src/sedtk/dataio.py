@@ -10,6 +10,7 @@ with a line-numbered error rather than silently accepting part of a file.
 from __future__ import annotations
 
 import warnings
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -196,31 +197,39 @@ def _score_columns(body, hop: float, class_names) -> list[ScoreTrack] | None:
     has 2 + K fields, an integer frame and K scores in [0, 1], and every
     clip's frames run 0..n-1 in a single block of rows.
     """
-    rows = [line.partition(",") for line in body if line.strip()]
+    rows = list(filter(str.strip, body))
     if not rows:
         return []
-    clips = [clip for clip, _, _ in rows]
-    rests = [rest for _, _, rest in rows]
-    if not all(rests):  # loadtxt would skip an empty line (or warn on no data)
+    k = len(class_names)
+    # usecols ignores fields past the last one it names, and loadtxt rejects a
+    # row that is short; so with the comma total right, every row has 2 + K.
+    if sum(map(str.count, rows, repeat(","))) != len(rows) * (1 + k):
         return None
-    dtype = [("frame", np.int64), ("scores", np.float64, (len(class_names),))]
+    dtype = [("frame", np.int64), ("scores", np.float64, (k,))]
     try:
         # numpy 1.23-2.x reads a frame like "3.0" or "2.9" through float() and
         # truncates it, with only a DeprecationWarning; int() rejects both.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(rests, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            table = np.loadtxt(
+                rows, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                usecols=range(1, 2 + k),
+            )
     except (ValueError, DeprecationWarning):
         return None
-    bounds = [0]
-    bounds += [i for i in range(1, len(clips)) if clips[i] != clips[i - 1]]
-    bounds.append(len(clips))
-    run_clips = [clips[s] for s in bounds[:-1]]
+    # A block starts at each frame 0, and its frames count up from there.
+    frames = table["frame"]
+    index = np.arange(len(rows))
+    starts = np.maximum.accumulate(np.where(frames == 0, index, 0))
+    if not np.array_equal(frames, index - starts):
+        return None
+    bounds = np.flatnonzero(frames == 0).tolist() + [len(rows)]
+    run_clips = [rows[start].partition(",")[0] for start in bounds[:-1]]
     if len(set(run_clips)) != len(run_clips):
         return None
-    starts = np.repeat(bounds[:-1], np.diff(bounds))
-    if not np.array_equal(table["frame"], np.arange(len(clips)) - starts):
-        return None
+    for clip, start, stop in zip(run_clips, bounds, bounds[1:]):
+        if not all(map(str.startswith, rows[start:stop], repeat(clip + ","))):
+            return None
     scores = table["scores"]
     if not (scores.min() >= 0.0 and scores.max() <= 1.0):  # False for NaN
         return None

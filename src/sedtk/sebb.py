@@ -128,20 +128,36 @@ def delta_scores(track_row, filter_len: int) -> np.ndarray:
     return fwd - bwd
 
 
-def _boundaries(delta: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
-    """Boundary marks ``(frame, kind, |delta|)`` of one delta row, in frame order.
+def _boundaries(delta: np.ndarray, threshold: float) -> list[list[tuple[int, int, float]]]:
+    """Boundary marks ``(frame, kind, |delta|)`` of each row of a (K, T) delta.
 
-    Onsets (kind 1) are the peaks above +threshold, offsets (kind -1) the
-    troughs below -threshold.
+    One list per row, in frame order. Onsets (kind 1) are the peaks above
+    +threshold, offsets (kind -1) the troughs below -threshold, as
+    ``find_peaks`` finds them on the row alone.
     """
-    peaks, _ = find_peaks(delta)
-    troughs, _ = find_peaks(-delta)
-    peaks = peaks[delta[peaks] > threshold]
-    troughs = troughs[delta[troughs] < -threshold]
-    return sorted(
-        [(t, 1, abs(d)) for t, d in zip(peaks.tolist(), delta[peaks].tolist())]
-        + [(t, -1, abs(d)) for t, d in zip(troughs.tolist(), delta[troughs].tolist())]
-    )
+    k, t = delta.shape
+    width = t + 1
+    # The onset rows, then the negated offset rows, each closed by a -inf cell,
+    # so that one find_peaks call covers them all and no plateau spans two rows.
+    rows = np.full((2, k, width), -np.inf)
+    rows[0, :, :t] = delta
+    rows[1, :, :t] = -delta
+    line = rows.ravel()
+    peaks, edges = find_peaks(line, plateau_size=1)
+    # On the row alone, a plateau on its first or last frame is no peak.
+    inner = (edges["left_edges"] % width != 0) & (edges["right_edges"] % width != t - 1)
+    peaks = peaks[inner & (line[peaks] > threshold)]
+    # row * width + frame, for onsets and offsets alike; no frame is both
+    key = peaks % (k * width)
+    order = np.argsort(key, kind="stable")
+    peaks, key = peaks[order], key[order]
+    marks = list(zip(
+        (key % width).tolist(),
+        np.where(peaks < k * width, 1, -1).tolist(),
+        np.abs(line[peaks]).tolist(),
+    ))
+    cuts = np.searchsorted(key, np.arange(k + 1) * width).tolist()
+    return [marks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _candidate_frames(row: np.ndarray, marks, threshold: float) -> list[list]:
@@ -165,7 +181,7 @@ def _candidate_frames(row: np.ndarray, marks, threshold: float) -> list[list]:
             pending_onset = None
     if pending_onset is not None:
         spans.append((pending_onset, row.shape[-1]))
-    return [[a, b, float(row[a:b].mean())] for a, b in spans]
+    return [[a, b, float(np.add.reduce(row[a:b]) / (b - a))] for a, b in spans]
 
 
 def _merge_frames(events: list[list], row: np.ndarray, abs_thr: float, rel_thr: float):
@@ -184,13 +200,14 @@ def _merge_frames(events: list[list], row: np.ndarray, abs_thr: float, rel_thr: 
                 if gap.size == 0:
                     do_merge = True
                 else:
-                    gap_mean = float(gap.mean())
+                    gap_mean = float(np.add.reduce(gap) / gap.size)
                     do_merge = (
                         gap_mean >= abs_thr
                         and min(prev[2], ev[2]) / gap_mean <= rel_thr
                     )
                 if do_merge:
-                    merged[-1] = [prev[0], ev[1], float(row[prev[0] : ev[1]].mean())]
+                    span = row[prev[0] : ev[1]]
+                    merged[-1] = [prev[0], ev[1], float(np.add.reduce(span) / span.size)]
                     changed = True
                     continue
             merged.append(ev)
@@ -202,11 +219,11 @@ def detect_candidates(track: ScoreTrack, cfg: CsebbConfig) -> dict[str, list[SEB
     """Candidate bounding boxes per class, before gap merging."""
     hop, bt = track.hop_seconds, cfg.boundary_threshold
     out: dict[str, list[SEBB]] = {}
-    deltas = delta_scores(track.scores, cfg.filter_len)
-    for cname, row, delta in zip(track.class_names, track.scores, deltas):
+    marks = _boundaries(delta_scores(track.scores, cfg.filter_len), bt)
+    for cname, row, row_marks in zip(track.class_names, track.scores, marks):
         out[cname] = [
             SEBB(onset_s=a * hop, offset_s=b * hop, class_name=cname, confidence=conf)
-            for a, b, conf in _candidate_frames(row, _boundaries(delta, bt), bt)
+            for a, b, conf in _candidate_frames(row, row_marks, bt)
         ]
     return out
 
@@ -334,7 +351,7 @@ def tune_csebb(
     floor = axes["boundary_threshold"][0]
     best: tuple[float, CsebbConfig] | None = None
     for fl in axes["filter_len"]:
-        marks = [[_boundaries(d, floor) for d in delta_scores(tr.scores, fl)] for tr in tracks]
+        marks = [_boundaries(delta_scores(tr.scores, fl), floor) for tr in tracks]
         for bt in axes["boundary_threshold"]:
             cands = [
                 [_candidate_frames(row, m, bt) for row, m in zip(tr.scores, track_marks)]

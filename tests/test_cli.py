@@ -455,6 +455,44 @@ class TestPostprocessAndTune:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            "a,x,0.5",  # bad frame
+            "a,2.0,0.5",  # float frame
+            "a,2,0.5,0.5",  # extra field
+            "a,2",  # short row
+            "a,2,nan",
+            "a,2,1.5",  # out of range
+            "a,0,0.5",  # frame restart
+            "ab,2,0.5",  # clip id extended: a new clip that starts at frame 2
+        ],
+    )
+    @pytest.mark.parametrize("command", ["postprocess", "tune-sebb", "evaluate"])
+    def test_bad_score_file_is_data_error_at_its_line(self, tmp_path, capsys, command, bad_row):
+        good = self._scores_fixture(tmp_path)
+        scores = tmp_path / "bad.csv"
+        scores.write_text(f"# hop_seconds=0.5\nclip_id,frame,dog\na,0,0.5\na,1,0.5\n{bad_row}\n")
+        truth, durs = tmp_path / "truth.tsv", tmp_path / "durs.tsv"
+        write_events([Event("a", "dog", 0.5, 1.0)], truth)
+        write_durations({"a": 1.5}, durs)
+        grid = tmp_path / "grid.txt"
+        grid.write_text("filter_len=3\n")
+        argv = {
+            "postprocess": ["postprocess", "--scores", str(scores),
+                            "--out", str(tmp_path / "ev.tsv")],
+            "tune-sebb": ["tune-sebb", "--scores", str(scores), "--truth", str(truth),
+                          "--durations", str(durs), "--grid", str(grid)],
+            "evaluate": ["evaluate", "--mpauc", "--segscores", str(scores),
+                         "--segtruth", str(good)],
+        }[command]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {scores}:5:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command, flag", [("tune-sebb", "--grid"), ("postprocess", "--config")])
     def test_repeated_key_is_usage_error_naming_both_lines(
         self, tmp_path, capsys, command, flag

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sedtk.dataio import (
+    _score_columns,
     apply_class_map,
     read_annotations,
     read_class_map,
@@ -251,6 +252,14 @@ class TestScores:
             read_scores(path)
         assert err.value.line == 5
 
+    def test_blank_lines_stay_on_the_column_path(self):
+        body = ["", "a,0,0.1", "  ", "a,1,0.2", "\t", "b,0,0.3", "", " "]
+        tracks = _score_columns(body, 0.5, ("dog",))
+        assert tracks is not None
+        assert [t.clip_id for t in tracks] == ["a", "b"]
+        np.testing.assert_array_equal(tracks[0].scores, [[0.1, 0.2]])
+        np.testing.assert_array_equal(tracks[1].scores, [[0.3]])
+
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     @pytest.mark.parametrize("frame", ["3.0", "2.9"])
     def test_frame_written_as_float_is_bad_with_warnings_ignored(self, tmp_path, frame):
@@ -352,6 +361,7 @@ def _read_scores_per_line(path):
 # (field, text) replacements; field 1 is the frame, 2 the first score.
 _MUTATIONS = [
     "drop field", "extra field", "no comma", "frame gap", "frame as float", "comment line",
+    "longer clip id", "shorter clip id", "frame restart", "short and long rows",
     (1, "x"), (2, "nan"), (2, "1.2"), (2, "0_5"), (2, ""), (2, "0.2_5"),
 ]
 
@@ -372,6 +382,15 @@ def _score_csv(draw):
         row.pop()
     elif mutation == "extra field":
         row.append("0.5")
+    elif mutation == "longer clip id":  # clip0 -> clip01: same prefix, another id
+        row[0] += "1"
+    elif mutation == "shorter clip id":  # clip0 -> clip
+        row[0] = row[0][:-1]
+    elif mutation == "frame restart":
+        row[1] = "0"
+    elif mutation == "short and long rows":  # the file's comma total is unchanged
+        row.pop()
+        body[draw(st.integers(0, len(body) - 1))].append("0.5")
     elif mutation == "no comma":
         del row[1:]
     elif mutation == "frame gap":
@@ -407,6 +426,7 @@ def csv_path(tmp_path_factory):
 @given(_score_csv())
 @example(["# hop_seconds=1", "clip_id,frame,c0", "a,0,0.1", "a,1,0.2", "a,2,0.3", "a,3.0,0.4"])
 @example(["# hop_seconds=1", "clip_id,frame,c0", "a"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "a,0,0.1", "a,1,0.2", "a,0,0.3"])
 def test_read_scores_matches_per_line_reader(csv_path, lines):
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     fast = _outcome(read_scores, csv_path)

@@ -23,6 +23,7 @@ from sedtk.sebb import (
     SEBB,
     CsebbConfig,
     ScoreTrack,
+    _boundaries,
     delta_scores,
     detect_candidates,
     detect_sebbs,
@@ -32,6 +33,7 @@ from sedtk.sebb import (
 )
 
 HOP = 0.02
+LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _track(rows, class_names=("dog",), clip_id="clip0", hop=HOP):
@@ -114,6 +116,55 @@ class TestDeltaScores:
             delta_scores(np.zeros(10), 4)
         with pytest.raises(InvalidFilterLenError):
             delta_scores(np.zeros(10), 1)
+
+
+def _per_row_boundaries(delta, threshold):
+    """Reference: ``_boundaries`` of one delta row, with find_peaks run on the row alone."""
+    peaks, _ = find_peaks(delta)
+    troughs, _ = find_peaks(-delta)
+    peaks = peaks[delta[peaks] > threshold]
+    troughs = troughs[delta[troughs] < -threshold]
+    return sorted(
+        [(t, 1, abs(d)) for t, d in zip(peaks.tolist(), delta[peaks].tolist())]
+        + [(t, -1, abs(d)) for t, d in zip(troughs.tolist(), delta[troughs].tolist())]
+    )
+
+
+@st.composite
+def _quantized_deltas(draw):
+    """(K, T) delta rows with plateaus everywhere, and a threshold.
+
+    Rows are runs of a few score levels, or all zero, or all one, so the
+    first and last frames always sit on a run. The delta is either the
+    centred scores themselves (plateaus exactly) or their ``delta_scores``.
+    A threshold below 0 also keeps marks of height 0, so a spurious mark
+    where two rows meet is not filtered out by its height.
+    """
+    n_frames = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["zero", "one", "levels"]))
+        if kind == "levels":
+            row = []
+            while len(row) < n_frames:
+                row += [draw(st.sampled_from(LEVELS))] * draw(st.integers(1, 8))
+        else:
+            row = [float(kind == "one")] * n_frames
+        rows.append(row[:n_frames])
+    scores = np.array(rows)
+    filter_len = draw(st.sampled_from([None, 3, 5, 21]))
+    delta = scores - 0.5 if filter_len is None else delta_scores(scores, filter_len)
+    return delta, draw(st.sampled_from([-0.3, 0.0, 0.02, 0.1, 0.25]))
+
+
+class TestBoundaries:
+    @settings(max_examples=400, deadline=None)
+    @given(_quantized_deltas())
+    def test_rows_at_once_equal_each_row_alone(self, case):
+        delta, threshold = case
+        assert _boundaries(delta, threshold) == [
+            _per_row_boundaries(row, threshold) for row in delta
+        ]
 
 
 class TestDetectCandidates:
@@ -476,8 +527,6 @@ def _reference_grid(tracks, truth, grid):
         points.append((cfg, scored, psds(psd_roc(scored, truth))))
     return points
 
-
-LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @st.composite
