@@ -17,10 +17,11 @@ The macro average over classes is mpAUC.
 
 from __future__ import annotations
 
-import math
 import numbers
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -89,10 +90,6 @@ class PsdsConfig:
             raise InvalidParameterError("need at least one threshold")
 
 
-def _overlap(a_on, a_off, b_on, b_off) -> float:
-    return max(0.0, min(a_off, b_off) - max(a_on, b_on))
-
-
 def intersection_match(
     dets: Sequence[Event],
     truth: Sequence[Event],
@@ -110,31 +107,55 @@ def intersection_match(
     overlap to a truth event's coverage twice, and overlapping same-class
     truth events add to a detection's intersection twice.
     """
-    return _scored_counts([(1.0, d) for d in dets], truth, rho_dtc, rho_gtc, (1.0,))[0]
+    classes, tp, fp = _scored_counts([(1.0, d) for d in dets], truth, rho_dtc, rho_gtc, (1.0,))
+    return {cls: (int(tp[0, j]), int(fp[0, j])) for j, cls in enumerate(classes)}
 
 
-def _reach(t: Event, valid: Sequence[tuple[float, Event]], rho_gtc: float) -> float:
-    """Highest confidence at which the valid detections at or above it cover
-    rho_gtc of ``t``; -inf when no threshold makes ``t`` a true positive.
+_BLOCK_CELLS = 1 << 17  # cells of one padded block in _list_order_sums
 
-    Coverage is the sum of the overlaps in list order. Adding a nonnegative
-    term never lowers a rounded sum, so coverage only grows as the threshold
-    falls and the first level that passes is the answer.
+
+def _list_order_sums(terms, starts, lengths, confs=None, levels=None) -> np.ndarray:
+    """Per row r, the sum of ``terms[starts[r] : starts[r] + lengths[r]]``
+    added one by one in slice order; with ``levels``, only the terms whose
+    ``confs`` entry is >= ``levels[r]`` count.
+
+    The rows are laid out as a zero-padded matrix and summed with a cumsum
+    along each row, which adds in order (np.sum adds pairwise past 8 terms,
+    so its rounding differs). The matrix is built a block of columns at a
+    time, about _BLOCK_CELLS cells each, with the running sums carried in as
+    its first column, so memory stays bounded however long the rows are.
     """
-    hits = [
-        (conf, ov)
-        for conf, d in valid
-        if (ov := _overlap(d.onset_s, d.offset_s, t.onset_s, t.offset_s)) > 0
-    ]
-    for level in sorted({conf for conf, _ in hits}, reverse=True):
-        inter = sum(ov for conf, ov in hits if conf >= level)
-        if inter / t.duration_s >= rho_gtc:
-            return level
-    return -math.inf
+    order = np.argsort(-lengths, kind="stable")  # open rows form a prefix
+    starts, lengths = starts[order], lengths[order]
+    if levels is not None:
+        levels = levels[order, None]
+    sums = np.zeros(lengths.size)
+    width = int(lengths[0]) if lengths.size else 0
+    col = 0
+    while col < width:
+        n = int(np.count_nonzero(lengths > col))
+        cols = np.arange(col, min(width, col + max(1, _BLOCK_CELLS // n)))
+        live = cols < lengths[:n, None]
+        idx = np.where(live, starts[:n, None] + cols, 0)
+        if levels is not None:
+            live &= confs[idx] >= levels[:n]
+        block = np.where(live, terms[idx], 0.0)
+        sums[:n] = np.cumsum(np.concatenate([sums[:n, None], block], axis=1), axis=1)[:, -1]
+        col += cols.size
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
 
 
-def _count_at_or_above(values: list[float], thresholds: np.ndarray) -> np.ndarray:
-    return len(values) - np.searchsorted(np.sort(values), thresholds, side="left")
+def _tally(values: np.ndarray, cols: np.ndarray, n_cols: int, levels: np.ndarray) -> np.ndarray:
+    """(len(levels), n_cols) counts of the values >= each level, per column."""
+    order = np.argsort(levels, kind="stable")
+    reached = np.searchsorted(levels[order], values, side="right")  # levels at or below
+    hist = np.bincount(reached * n_cols + cols, minlength=(levels.size + 1) * n_cols)
+    at_or_above = np.cumsum(hist.reshape(levels.size + 1, n_cols)[::-1], axis=0)[::-1]
+    tally = np.empty((levels.size, n_cols), dtype=np.int64)
+    tally[order] = at_or_above[1:]
+    return tally
 
 
 def _scored_counts(
@@ -143,51 +164,83 @@ def _scored_counts(
     rho_dtc: float,
     rho_gtc: float,
     thresholds: Sequence[float],
-) -> list[dict[str, tuple[int, int]]]:
-    """Per-class (TP, FP) at every threshold from one matching pass.
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Per-class TP and FP counts at every threshold from one matching pass.
+
+    Returns the sorted classes of ``scored`` and ``truth`` and two
+    (len(thresholds), len(classes)) int arrays, TP and FP.
 
     The detections at threshold tau are those with confidence >= tau. A
     detection is valid when the sum of its overlaps with same-class truth in
     the same clip covers at least rho_dtc of it; that does not depend on the
     threshold. At tau the invalid detections at or above tau are the false
-    positives, and the truth events whose ``_reach`` is >= tau the true
+    positives. A truth event's reach is the highest confidence at which the
+    valid detections at or above it cover rho_gtc of the event (-inf if
+    none); at tau the truth events whose reach is >= tau are the true
     positives.
-    """
-    dets_by: dict[tuple[str, str], list[tuple[float, Event]]] = {}
-    truth_by: dict[tuple[str, str], list[Event]] = {}
-    for conf, e in scored:
-        dets_by.setdefault((e.clip_id, e.class_name), []).append((conf, e))
-    for e in truth:
-        truth_by.setdefault((e.clip_id, e.class_name), []).append(e)
 
-    fp_confs: dict[str, list[float]] = {}
-    reach: dict[str, list[float]] = {}
-    for key in dets_by.keys() | truth_by.keys():
-        cls = key[1]
-        t_list = truth_by.get(key, [])
-        valid = []
-        for conf, d in dets_by.get(key, []):
-            inter = sum(
-                _overlap(d.onset_s, d.offset_s, t.onset_s, t.offset_s) for t in t_list
-            )
-            if inter / d.duration_s >= rho_dtc:
-                valid.append((conf, d))
-            else:
-                fp_confs.setdefault(cls, []).append(conf)
-        reach.setdefault(cls, []).extend(_reach(t, valid, rho_gtc) for t in t_list)
+    Every coverage is a sum in list order: a detection's overlaps in the
+    order of ``truth``, a truth event's overlaps in the order of ``scored``.
+    Adding a nonnegative term never lowers a rounded sum, so coverage only
+    grows as the threshold falls, and the reach is the highest hit
+    confidence whose coverage passes.
+
+    Memory is linear in the same-clip, same-class (detection, truth) pairs.
+    The (levels, hits) coverage of a truth event is quadratic in its hits,
+    so it is summed in blocks of about _BLOCK_CELLS cells: 3000 hits on one
+    event take a few MB, not the 9e6-cell square.
+    """
+    events = list(truth) + [e for _, e in scored]
+    keys = list(map(attrgetter("clip_id", "class_name"), events))
+    codes = {key: i for i, key in enumerate(dict.fromkeys(keys))}  # one per (clip, class)
+    code = np.fromiter(map(codes.__getitem__, keys), dtype=np.intp, count=len(keys))
+    t_code, d_code = code[: len(truth)], code[len(truth) :]
+    classes = sorted({cls for _, cls in codes})
+    column = {cls: j for j, cls in enumerate(classes)}
+    code_col = np.array([column[cls] for _, cls in codes], dtype=np.intp)
+    spans = np.array(list(map(attrgetter("onset_s", "offset_s"), events)), dtype=np.float64)
+    t_on, t_off = spans[: len(truth)].reshape(-1, 2).T
+    d_on, d_off = spans[len(truth) :].reshape(-1, 2).T
+    conf = np.array([c for c, _ in scored], dtype=np.float64)
+
+    # (detection, truth) pairs within a code, by detection, then truth order:
+    # pair p of detection d takes the truth event at position
+    # code start + (p - first pair of d) of the truth sorted by code.
+    t_order = np.argsort(t_code, kind="stable")
+    t_count = np.bincount(t_code, minlength=len(codes))
+    per_det = t_count[d_code]
+    shift = (np.cumsum(t_count)[d_code] - per_det) - (np.cumsum(per_det) - per_det)
+    pair_det = np.repeat(np.arange(d_code.size), per_det)
+    pair_truth = t_order[np.repeat(shift, per_det) + np.arange(pair_det.size)]
+    overlap = np.maximum(
+        0.0,
+        np.minimum(d_off[pair_det], t_off[pair_truth])
+        - np.maximum(d_on[pair_det], t_on[pair_truth]),
+    )
+    hit = overlap > 0  # a zero term leaves a list-order sum as it is
+    pair_det, pair_truth, overlap = pair_det[hit], pair_truth[hit], overlap[hit]
+
+    n_terms = np.bincount(pair_det, minlength=d_code.size)
+    dtc = _list_order_sums(overlap, np.cumsum(n_terms) - n_terms, n_terms)
+    valid = dtc / (d_off - d_on) >= rho_dtc
+
+    # Valid hits by truth event, each in detection order; one coverage per hit level.
+    keep = np.flatnonzero(valid[pair_det])
+    keep = keep[np.argsort(pair_truth[keep], kind="stable")]
+    hit_truth, hit_conf = pair_truth[keep], conf[pair_det[keep]]
+    n_hits = np.bincount(hit_truth, minlength=t_code.size)
+    first = np.cumsum(n_hits) - n_hits
+    gtc = _list_order_sums(
+        overlap[keep], first[hit_truth], n_hits[hit_truth], hit_conf, hit_conf
+    )
+    passed = gtc / (t_off - t_on)[hit_truth] >= rho_gtc
+    reach = np.full(t_code.size, -np.inf)
+    np.maximum.at(reach, hit_truth[passed], hit_conf[passed])
 
     levels = np.asarray(thresholds, dtype=np.float64)
-    per_class = {
-        cls: (
-            _count_at_or_above(reach.get(cls, []), levels).tolist(),
-            _count_at_or_above(fp_confs.get(cls, []), levels).tolist(),
-        )
-        for cls in sorted(reach.keys() | fp_confs.keys())
-    }
-    return [
-        {cls: (tp[i], fp[i]) for cls, (tp, fp) in per_class.items()}
-        for i in range(levels.size)
-    ]
+    tp = _tally(reach, code_col[t_code], len(classes), levels)
+    fp = _tally(conf[~valid], code_col[d_code[~valid]], len(classes), levels)
+    return classes, tp, fp
 
 
 def _is_scored(items: list) -> bool:
@@ -223,9 +276,7 @@ def psd_roc(
     if not truth.clip_durations:
         raise InvalidParameterError("truth must carry clip durations for eFPR")
     hours = sum(truth.clip_durations.values()) / 3600.0
-    n_truth: dict[str, int] = {}
-    for e in truth.events:
-        n_truth[e.class_name] = n_truth.get(e.class_name, 0) + 1
+    n_truth = Counter(map(attrgetter("class_name"), truth.events))
     eval_classes = sorted(n_truth)
 
     if callable(detections):
@@ -233,37 +284,40 @@ def psd_roc(
     detections = list(detections)
     is_scored = _is_scored(detections)
     events = (e for _, e in detections) if is_scored else (e for d in detections for e in d)
-    clips = {e.clip_id for e in events}.union(e.clip_id for e in truth.events)
+    clips = set(map(attrgetter("clip_id"), events)).union(e.clip_id for e in truth.events)
     missing = sorted(clips - truth.clip_durations.keys())
     if missing:
         named = ", ".join(map(repr, missing[:5]))
         more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
         raise InvalidParameterError(f"no duration for clip {named}{more}")
     if is_scored:
-        per_threshold = _scored_counts(
+        classes, tp, fp = _scored_counts(
             detections, truth.events, cfg.rho_dtc, cfg.rho_gtc, cfg.thresholds
         )
+        fp_total = fp.sum(axis=1)
+        tp = tp[:, [classes.index(c) for c in eval_classes]]
     else:
-        per_threshold = (
+        counts = [
             intersection_match(dets, truth.events, cfg.rho_dtc, cfg.rho_gtc)
             for dets in detections
-        )
+        ]
+        fp_total = np.array([sum(fp for _, fp in c.values()) for c in counts], dtype=np.int64)
+        tp = np.array(
+            [[c[cls][0] for cls in eval_classes] for c in counts], dtype=np.int64
+        ).reshape(len(counts), len(eval_classes))
 
-    points = []
-    for counts in per_threshold:
-        fp_total = sum(fp for _, fp in counts.values())
-        efpr = fp_total / hours
-        if eval_classes:
-            tprs = np.array(
-                [counts.get(c, (0, 0))[0] / n_truth[c] for c in eval_classes]
-            )
-            etpr = float(tprs.mean() - cfg.alpha_st * tprs.std())
-        else:
-            etpr = 0.0
-        points.append((efpr, etpr))
+    # One operating point per row: eFPR over all classes, eTPR over eval_classes.
+    efpr = fp_total / hours
+    if eval_classes:
+        # numpy sums each row of a C-ordered array pairwise, as it sums a 1-D
+        # array, but an F-ordered one (the column pick above) column by column.
+        tprs = np.ascontiguousarray(tp / np.array([n_truth[c] for c in eval_classes]))
+        etpr = tprs.mean(axis=1) - cfg.alpha_st * tprs.std(axis=1)
+    else:
+        etpr = np.zeros(efpr.size)
+    points = sorted(zip(efpr.tolist(), etpr.tolist()))
 
     # Monotone upper staircase anchored at (0, 0).
-    points.sort()
     curve = [(0.0, 0.0)]
     for efpr, etpr in points:
         if etpr > curve[-1][1]:

@@ -119,7 +119,9 @@ def delta_scores(track_row, filter_len: int) -> np.ndarray:
         raise InvalidParameterError("track row must be a non-empty vector")
     h = (filter_len - 1) // 2
     n = rows.shape[-1]
-    padded = np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(h, h)], mode="edge")
+    padded = np.concatenate(
+        [np.repeat(rows[..., :1], h, -1), rows, np.repeat(rows[..., -1:], h, -1)], axis=-1
+    )
     cs = np.concatenate(
         [np.zeros(rows.shape[:-1] + (1,)), np.cumsum(padded, axis=-1)], axis=-1
     )

@@ -1,6 +1,7 @@
 """Intersection matching, PSDS staircases, segment labels, partial AUC."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -46,6 +47,12 @@ def _brute_partial_auc(y, s, max_fpr):
             area += (max_fpr - x0) * (y0 + yc) / 2.0
     min_area = 0.5 * max_fpr**2
     return 0.5 * (1.0 + (area - min_area) / (max_fpr - min_area))
+
+
+def _swept(scored, truth, rho_dtc, rho_gtc, thresholds):
+    """``_scored_counts`` as one {class: (TP, FP)} dict per threshold."""
+    classes, tp, fp = _scored_counts(scored, truth, rho_dtc, rho_gtc, thresholds)
+    return [dict(zip(classes, zip(t.tolist(), f.tolist()))) for t, f in zip(tp, fp)]
 
 
 class TestEventType:
@@ -101,7 +108,7 @@ class TestIntersectionMatch:
         assert intersection_match([det, det], truth, 0.7, 0.7)["dog"] == (1, 0)
         assert intersection_match([det], truth, 0.7, 0.7)["dog"] == (0, 0)
         # scored: both copies count at 0.3, only the 0.9 copy at 0.5
-        counts = _scored_counts([(0.9, det), (0.4, det)], truth, 0.7, 0.7, (0.3, 0.5))
+        counts = _swept([(0.9, det), (0.4, det)], truth, 0.7, 0.7, (0.3, 0.5))
         assert counts == [{"dog": (1, 0)}, {"dog": (0, 0)}]
 
     def test_overlapping_truth_events_add_to_a_detection_twice(self):
@@ -110,7 +117,7 @@ class TestIntersectionMatch:
         # intersection 4 + 4 of 10 passes rho_dtc=0.7; the union, 4 of 10, would not
         assert intersection_match([det], truth, 0.7, 0.7)["dog"] == (2, 0)
         assert intersection_match([det], truth[:1], 0.7, 0.7)["dog"] == (0, 1)
-        counts = _scored_counts([(0.6, det)], truth, 0.7, 0.7, (0.5, 0.7))
+        counts = _swept([(0.6, det)], truth, 0.7, 0.7, (0.5, 0.7))
         assert counts == [{"dog": (2, 0)}, {"dog": (0, 0)}]
 
 
@@ -287,6 +294,12 @@ def _nonzero(counts):
     return {cls: n for cls, n in counts.items() if n != (0, 0)}
 
 
+# Nine spans of 0.01-grid lengths totalling 0.70: added in list order they sum
+# to 0.7, pairwise (np.add.reduce past 8 terms) to 0.6999999999999998.
+_NINE_SPANS = [(0.25, 0.36), (0.94, 0.98), (0.1, 0.12), (0.67, 0.83), (0.14, 0.34),
+               (0.95, 0.96), (0.8, 0.88), (0.15, 0.17), (0.8, 0.86)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_scored_case())
 @example(([Event("a", "dog", 1.0, 2.0)], [], PsdsConfig()))
@@ -298,6 +311,14 @@ def _nonzero(counts):
           [(0.5, Event("a", "dog", on, off)) for on, off in
            [(0.0, 0.2), (0.6000000000000001, 1.0), (0.7000000000000001, 0.8)]],
           PsdsConfig(thresholds=(0.5,))))
+# gtc: nine detections cover 0.7 of one truth event in list order.
+@example(([Event("a", "dog", 0.0, 1.0)],
+          [(0.5, Event("a", "dog", on, off)) for on, off in _NINE_SPANS],
+          PsdsConfig(thresholds=(0.5,))))
+# dtc: one detection overlaps nine truth events for 0.7 of itself in list order.
+@example(([Event("a", "dog", on, off) for on, off in _NINE_SPANS],
+          [(0.5, Event("a", "dog", 0.0, 1.0))],
+          PsdsConfig(thresholds=(0.5,))))
 def test_scored_sweep_equals_per_threshold_matching(case):
     truth_events, scored, cfg = case
     rho = (cfg.rho_dtc, cfg.rho_gtc)
@@ -305,10 +326,95 @@ def test_scored_sweep_equals_per_threshold_matching(case):
     want = [_parent_intersection_match(dets, truth_events, *rho) for dets in per_tau]
     assert [intersection_match(dets, truth_events, *rho) for dets in per_tau] == want
     # The sweep also lists a class whose detections all fall below tau, as (0, 0).
-    swept = _scored_counts(scored, truth_events, *rho, cfg.thresholds)
+    swept = _swept(scored, truth_events, *rho, cfg.thresholds)
     assert [_nonzero(c) for c in swept] == [_nonzero(c) for c in want]
     truth = AnnotationSet(events=truth_events, clip_durations=_DURATIONS)
     assert psd_roc(scored, truth, cfg) == psd_roc(per_tau, truth, cfg)
+
+
+def test_nine_span_examples_need_list_order_sums():
+    overlaps = [off - on for on, off in _NINE_SPANS]
+    in_order = 0.0
+    for ov in overlaps:
+        in_order += ov
+    assert in_order >= 0.7 > np.add.reduce(np.array(overlaps))
+    truth = [Event("a", "dog", 0.0, 1.0)]
+    dets = [Event("a", "dog", on, off) for on, off in _NINE_SPANS]
+    assert intersection_match(dets, truth) == {"dog": (1, 0)}
+    assert intersection_match(truth, dets) == {"dog": (9, 0)}
+
+
+def test_many_hits_on_one_truth_event_stay_in_bounded_memory():
+    # 3000 valid detections inside one 10 s truth event: the (levels, hits)
+    # coverage of that event has 3000 x 3000 cells.
+    rng = np.random.default_rng(11)
+    truth = [Event("a", "dog", 0.0, 10.0)]
+    onsets = rng.uniform(0.0, 9.99, size=3000)
+    lengths = rng.uniform(0.001, 0.005, size=3000)
+    confs = np.round(rng.uniform(size=3000), 3)  # ties among mixed confidences
+    scored = [
+        (float(c), Event("a", "dog", float(on), float(on + ln)))
+        for c, on, ln in zip(confs, onsets, lengths)
+    ]
+    thresholds = (0.05, 0.2, 0.25, 0.3, 0.5, 0.9)
+    tracemalloc.start()
+    try:
+        swept = _swept(scored, truth, 0.7, 0.7, thresholds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    want = [
+        _parent_intersection_match([e for c, e in scored if c >= tau], truth, 0.7, 0.7)
+        for tau in thresholds
+    ]
+    assert swept == want
+    assert {tp for counts in want for tp, _ in counts.values()} == {0, 1}
+
+
+def _oracle_curve(per_tau, truth, cfg):
+    """Operating points one threshold at a time from 1-D TPR arrays, as a staircase."""
+    hours = sum(truth.clip_durations.values()) / 3600.0
+    classes = sorted({e.class_name for e in truth.events})
+    n_truth = [sum(e.class_name == c for e in truth.events) for c in classes]
+    points = []
+    for dets in per_tau:
+        counts = _parent_intersection_match(dets, truth.events, cfg.rho_dtc, cfg.rho_gtc)
+        tprs = np.array([counts[c][0] / n for c, n in zip(classes, n_truth)])
+        etpr = float(tprs.mean() - cfg.alpha_st * tprs.std())
+        points.append((sum(fp for _, fp in counts.values()) / hours, etpr))
+    curve = [(0.0, 0.0)]
+    for efpr, etpr in sorted(points):
+        if etpr > curve[-1][1]:
+            if efpr == curve[-1][0]:
+                curve[-1] = (efpr, etpr)
+            else:
+                curve.append((efpr, etpr))
+    return curve
+
+
+@pytest.mark.parametrize("alpha_st", [0.0, 1.0])
+@pytest.mark.parametrize("n_classes", [1, 8, 9, 17])
+def test_operating_points_equal_one_threshold_at_a_time(n_classes, alpha_st):
+    # Classes with 1-7 truth events each give TPRs whose mean and std round;
+    # past 8 classes numpy sums them pairwise.
+    rng = np.random.default_rng(n_classes)
+    cfg = PsdsConfig(alpha_st=alpha_st)
+    for _ in range(4):
+        truth_events, scored = [], []
+        for k in range(n_classes):
+            cls = f"c{k:02d}"
+            for on in rng.choice(300, size=int(rng.integers(1, 8)), replace=False):
+                truth_events.append(Event("a", cls, 10.0 * on, 10.0 * on + 5.0))
+                if rng.random() < 0.8:
+                    scored.append((float(rng.random()), Event("a", cls, 10.0 * on, 10.0 * on + 4.0)))
+            for on in rng.uniform(3000.0, 3500.0, size=int(rng.integers(0, 4))):
+                scored.append((float(rng.random()), Event("a", cls, on, on + 2.0)))
+        truth = AnnotationSet(events=truth_events, clip_durations={"a": 3600.0})
+        per_tau = [[e for c, e in scored if c >= tau] for tau in cfg.thresholds]
+        want = _oracle_curve(per_tau, truth, cfg)
+        assert psd_roc(scored, truth, cfg) == want
+        assert psd_roc(per_tau, truth, cfg) == want
 
 
 class TestPsds:

@@ -83,6 +83,19 @@ class TestDeltaScores:
             delta_scores(row, filter_len), _loop_delta(row, filter_len), atol=1e-6
         )
 
+    @pytest.mark.parametrize("shape", [(1,), (3,), (60,), (4, 1), (4, 3), (2, 3, 40)])
+    @pytest.mark.parametrize("filter_len", [3, 9, 21])
+    def test_edge_padding_equals_np_pad(self, shape, filter_len):
+        # T = 1 and T < h pad a row with more copies of its edges than it has frames.
+        rows = np.random.default_rng(len(shape) * filter_len).uniform(size=shape)
+        h = (filter_len - 1) // 2
+        padded = np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(h, h)], mode="edge")
+        cs = np.concatenate([np.zeros(shape[:-1] + (1,)), np.cumsum(padded, axis=-1)], axis=-1)
+        n = shape[-1]
+        fwd = (cs[..., 2 * h + 1 : 2 * h + 1 + n] - cs[..., h : h + n]) / (h + 1)
+        bwd = (cs[..., h : h + n] - cs[..., :n]) / h
+        assert np.array_equal(delta_scores(rows, filter_len), fwd - bwd)
+
     def test_length_preserved(self):
         assert delta_scores(np.zeros(17), 9).shape == (17,)
 
