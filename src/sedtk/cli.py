@@ -25,7 +25,14 @@ import numpy as np
 
 from . import dataio, metrics, mixstyle, sebb, stats
 from .core import DomainTag, RandomSource, make_batch, read_fmt, write_fmt
-from .errors import ConfigInvalidError, InvalidParameterError, ParseError, SedtkError, UsageError
+from .errors import (
+    ConfigInvalidError,
+    EmptyAudioError,
+    InvalidParameterError,
+    ParseError,
+    SedtkError,
+    UsageError,
+)
 from .frontend import MelConfig, log_mel, read_wav, resample_to_mono_16k
 
 _DOMAINS = [name.lower() for name in DomainTag.__members__]
@@ -163,8 +170,10 @@ def cmd_features(args, cfg) -> int:
         raise SedtkError(f"no .wav files in {args.in_dir}")
     maps = []
     for wav in wavs:
-        clip = resample_to_mono_16k(read_wav(wav))
-        maps.append(log_mel(clip, mel_cfg))
+        try:  # read_wav's ParseError names the file already
+            maps.append(log_mel(resample_to_mono_16k(read_wav(wav)), mel_cfg))
+        except (ConfigInvalidError, EmptyAudioError) as exc:
+            raise SedtkError(f"{wav}: {exc}") from exc
         if maps[-1].shape != maps[0].shape:
             raise SedtkError(
                 f"{wav}: feature map has shape {maps[-1].shape}, but {wavs[0]} has "

@@ -29,6 +29,8 @@ _MEL_LOG_HZ = 1000.0
 _MEL_LOG_MEL = _MEL_LOG_HZ / _MEL_HZ_PER_STEP
 _MEL_LOG_STEP = math.log(6.4) / 27.0
 
+_BLOCK_BYTES = 1 << 20  # of float64 windowed frames per log_mel block: 64 frames at n_fft=2048
+
 
 @dataclass(frozen=True)
 class AudioClip:
@@ -200,11 +202,21 @@ def log_mel(clip: AudioClip, cfg: MelConfig) -> FeatureMap:
     ][:n_frames]
 
     window, filterbank = _analysis_tables(cfg)
-    spec = np.abs(np.fft.rfft(frames * window, n=cfg.n_fft, axis=1)) ** 2
-
-    mel = filterbank @ spec.T  # (n_mels, T)
-    out = np.log(np.maximum(mel, cfg.log_floor))
-    return FeatureMap._own(out[None, :, :].astype(np.float32))
+    # Frames go through in blocks of about _BLOCK_BYTES of windowed samples,
+    # so the spectrum never exists for the whole clip. Each frame's FFT and
+    # each mel column's sum are the same whatever block they fall in.
+    block = max(1, _BLOCK_BYTES // (8 * cfg.n_fft))
+    windowed = np.empty((min(block, n_frames), cfg.n_fft))
+    mel = np.empty((cfg.n_mels, n_frames))
+    for start in range(0, n_frames, block):
+        stop = min(start + block, n_frames)
+        buf = np.multiply(frames[start:stop], window, out=windowed[: stop - start])
+        spec = np.abs(np.fft.rfft(buf, n=cfg.n_fft, axis=1))
+        np.square(spec, out=spec)
+        mel[:, start:stop] = filterbank @ spec.T
+    np.maximum(mel, cfg.log_floor, out=mel)
+    np.log(mel, out=mel)
+    return FeatureMap._own(mel[None, :, :].astype(np.float32))
 
 
 # --- WAV ingestion (RIFF/WAVE, little-endian PCM 16/24/32 and float32) ---

@@ -98,19 +98,20 @@ def freq_mixstyle(
         if np.any(lam_vec < 0) or np.any(lam_vec > 1):
             raise InvalidParameterError("lambda values must be in [0,1]")
 
-    x = batch.data.astype(np.float64)
-    mu_x, var_x = bin_moments(x, (1, 3))  # (N, 1, F, 1)
-    mu_r, var_r = bin_moments(ref.data.astype(np.float64), (1, 3))
-    sd_x, sd_r = np.sqrt(var_x), np.sqrt(var_r)
+    # One item at a time in float64, so the scratch is one map, not the batch.
+    ref_moments = [bin_moments(r[None].astype(np.float64), (1, 3)) for r in ref.data]
+    out = np.empty(batch.data.shape, dtype=np.float32)
+    for i, (w, (mu_r, var_r)) in enumerate(zip(lam_vec, ref_moments)):
+        x = batch.data[i : i + 1].astype(np.float64)
+        mu_x, var_x = bin_moments(x, (1, 3))  # (1, 1, F, 1)
+        sd_x, sd_r = np.sqrt(var_x), np.sqrt(var_r)
+        mu_mix = w * mu_x + (1.0 - w) * mu_r
+        sd_mix = w * sd_x + (1.0 - w) * sd_r
 
-    w = lam_vec[:, None, None, None]
-    mu_mix = w * mu_x + (1.0 - w) * mu_r
-    sd_mix = w * sd_x + (1.0 - w) * sd_r
-
-    x -= mu_x  # in place: x becomes sd_mix * (x - mu_x) / (sd_x + eps) + mu_mix
-    x *= sd_mix
-    x /= sd_x + cfg.eps
-    x += mu_mix
-    out = x.astype(np.float32)
+        x -= mu_x  # in place: x becomes sd_mix * (x - mu_x) / (sd_x + eps) + mu_mix
+        x *= sd_mix
+        x /= sd_x + cfg.eps
+        x += mu_mix
+        out[i] = x[0]
     out.flags.writeable = False
     return Batch(out, batch.tags)

@@ -338,6 +338,33 @@ class TestFeaturesAndStats:
         ) in err
         assert not out.exists()
 
+    @staticmethod
+    def _rate_zero(path):
+        write_wav(path, AudioClip(np.zeros(4000, np.float32), 16000), "pcm16")
+        raw = bytearray(path.read_bytes())
+        raw[24:28] = bytes(4)  # the fmt chunk's sample rate
+        path.write_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("make_wav,pad,message", [
+        (lambda p: write_wav(p, AudioClip(np.zeros(0, np.float32), 16000), "pcm16"),
+         "1", "clip has zero samples"),
+        (_rate_zero, "1", "sample_rate must be > 0, got 0"),
+        (lambda p: write_wav(p, AudioClip(np.zeros(1000, np.float32), 16000), "pcm16"),
+         "0", "padded clip (1000 samples) shorter than n_fft=2048"),
+    ], ids=["zero-samples", "rate-zero", "shorter-than-n-fft"])
+    def test_bad_clip_is_data_error_naming_the_wav(self, tmp_path, capsys, make_wav, pad, message):
+        wav_dir = self._wav_dir(tmp_path, [1.0])
+        bad = wav_dir / "clip9.wav"
+        make_wav(bad)
+        out = tmp_path / "f.fmt"
+        code = run(["features", "--in", str(wav_dir), "--out", str(out),
+                    "--n-mels", "16", "--pad-seconds", pad])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {bad}: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPostprocessAndTune:
     def _scores_fixture(self, tmp_path):

@@ -1,11 +1,15 @@
 """WAV ingestion, resampling, and log-mel extraction."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import get_window
 
 from sedtk.errors import ConfigInvalidError, EmptyAudioError, ParseError
 from sedtk.frontend import (
+    _BLOCK_BYTES,
     AudioClip,
     _analysis_tables,
     MelConfig,
@@ -182,6 +186,40 @@ class TestCachedProjection:
             got = log_mel(AudioClip(samples, SR), cfg)
             np.testing.assert_array_equal(got.data[0], dense_out)
         assert window.shape == (cfg.n_fft,)
+
+    @pytest.mark.parametrize(
+        "cfg", [_PROJECTION_CONFIGS[0], _PROJECTION_CONFIGS[5], _PROJECTION_CONFIGS[3]],
+        ids=["default", "nfft512", "win1024"],
+    )
+    def test_block_edges_match_dense_reference(self, cfg):
+        # Frame counts around log_mel's block of frames. One frame is out of
+        # reach: a clip is at least n_fft long and hop <= n_fft, so T >= 2.
+        block = _BLOCK_BYTES // (8 * cfg.n_fft)
+        fewest = cfg.n_fft // cfg.hop_length + 1
+        rng = np.random.default_rng(1)
+        for i, n_frames in enumerate([fewest, block - 1, block, block + 1, 2 * block + 1]):
+            n_samples = (n_frames - 1) * cfg.hop_length
+            if i % 2:  # the clip sets the count
+                samples, pad_s = rng.normal(scale=0.1, size=n_samples), 0.0
+            else:  # padding to pad_to_seconds sets it
+                samples, pad_s = rng.normal(scale=0.1, size=n_samples // 3), n_samples / SR
+            samples = samples.astype(np.float32)
+            padded = dataclasses.replace(cfg, pad_to_seconds=pad_s)
+            got = log_mel(AudioClip(samples, SR), padded)
+            assert got.shape == (1, cfg.n_mels, n_frames)
+            np.testing.assert_array_equal(got.data[0], _dense_log_mel(samples, padded)[2])
+
+    def test_ten_second_clip_peak_memory(self):
+        cfg = MelConfig()
+        clip = AudioClip(_benchmark_like_clips()[1], SR)
+        log_mel(clip, cfg)  # the cached tables are built outside the traced call
+        tracemalloc.start()
+        try:
+            log_mel(clip, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"log_mel peaked at {peak / 2**20:.1f} MiB"
 
     def test_filterbank_copy_is_detached_from_cache(self):
         cfg = MelConfig()

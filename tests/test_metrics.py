@@ -270,6 +270,13 @@ def _parent_intersection_match(dets, truth, rho_dtc, rho_gtc):
     def overlap(a, b):
         return max(0.0, min(a.offset_s, b.offset_s) - max(a.onset_s, b.onset_s))
 
+    def covered(e, others):
+        # Left to right in list order; the built-in sum() compensates from Python 3.12.
+        total = 0.0
+        for o in others:
+            total += overlap(e, o)
+        return total
+
     counts = {}
     for cls in classes:
         tp = fp = 0
@@ -279,12 +286,12 @@ def _parent_intersection_match(dets, truth, rho_dtc, rho_gtc):
             t_list = truth_by.get((clip, cls), [])
             valid = []
             for d in d_list:
-                if sum(overlap(d, t) for t in t_list) / d.duration_s >= rho_dtc:
+                if covered(d, t_list) / d.duration_s >= rho_dtc:
                     valid.append(d)
                 else:
                     fp += 1
             for t in t_list:
-                if sum(overlap(d, t) for d in valid) / t.duration_s >= rho_gtc:
+                if covered(t, valid) / t.duration_s >= rho_gtc:
                     tp += 1
         counts[cls] = (tp, fp)
     return counts

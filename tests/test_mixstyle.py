@@ -1,6 +1,7 @@
 """Reference-batch construction and frequency-wise statistics mixing."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sedtk.core import (
+    Batch,
     DomainTag,
     FeatureMap,
     RandomSource,
@@ -162,6 +164,19 @@ class TestFreqMixstyle:
         out2 = freq_mixstyle(batch, cfg, RandomSource(77))
         for a, b in zip(out1.maps, out2.maps):
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_dcase_batch_peak_memory(self):
+        # 64 x (1, 128, 626), the batch the DG recipe mixes
+        data = np.random.default_rng(0).normal(-20, 5, (64, 1, 128, 626)).astype(np.float32)
+        data.flags.writeable = False
+        batch = Batch(data, [DomainTag.DESED] * 32 + [DomainTag.MAESTRO] * 32)
+        tracemalloc.start()
+        try:
+            freq_mixstyle(batch, MixStyleConfig(p=1.0), RandomSource(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * data.nbytes, f"peak {peak / data.nbytes:.2f}x the batch's bytes"
 
     def test_config_validation(self):
         with pytest.raises(ConfigInvalidError):
