@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_config(path) -> dict[str, tuple[str, str]]:
     """Map each key of a key=value file to its value and its ``path:line``."""
     values: dict[str, tuple[str, str]] = {}
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for i, line in enumerate(dataio._read_lines(path), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -284,7 +284,7 @@ def cmd_tune_sebb(args, cfg) -> int:
         "durations": args.durations, "grid": args.grid,
     })
     grid = _parse_grid(args.grid)
-    tracks = dataio.read_scores(args.scores)
+    tracks = _read_score_rows(args.scores)
     annos = dataio.read_annotations(args.truth)
     durations = dataio.read_durations(args.durations)
     truth = metrics.AnnotationSet(events=annos.events, clip_durations=durations)
@@ -306,7 +306,7 @@ def _read_score_rows(path) -> list[sebb.ScoreTrack]:
     """``dataio.read_scores`` for a file that must hold at least one row."""
     tracks = dataio.read_scores(path)
     if not tracks:
-        n_lines = len(Path(path).read_text(encoding="utf-8").splitlines())
+        n_lines = len(dataio._read_lines(path))
         raise ParseError("no score rows after the header", path=path, line=n_lines)
     return tracks
 

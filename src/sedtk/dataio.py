@@ -10,7 +10,6 @@ with a line-numbered error rather than silently accepting part of a file.
 from __future__ import annotations
 
 import warnings
-from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -28,6 +27,20 @@ from .sebb import ScoreTrack
 
 EVENT_HEADER = "filename\tonset\toffset\tevent_label"
 
+
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, as ``str.splitlines`` splits them.
+
+    A byte that is not UTF-8 is a ``ParseError`` on the line that holds it.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError("not UTF-8 text", path=path, line=line) from None
+
+
 def _float(text: str, what: str, path, line_no: int) -> float:
     try:
         return float(text)
@@ -37,8 +50,8 @@ def _float(text: str, what: str, path, line_no: int) -> float:
 
 def read_annotations(path) -> AnnotationSet:
     """Parse an event TSV into an AnnotationSet (durations left empty)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].rstrip("\n") != EVENT_HEADER:
+    lines = _read_lines(path)
+    if not lines or lines[0] != EVENT_HEADER:
         raise ParseError(
             f"expected header {EVENT_HEADER!r}", path=path, line=1
         )
@@ -86,7 +99,7 @@ def _read_tab_pairs(path, shape: str) -> dict[str, tuple[str, int]]:
     is a ``ParseError``.
     """
     pairs: dict[str, tuple[str, int]] = {}
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for i, line in enumerate(_read_lines(path), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
@@ -106,8 +119,10 @@ def read_durations(path) -> dict[str, float]:
     durations: dict[str, float] = {}
     for clip, (text, i) in _read_tab_pairs(path, "clip_id<TAB>seconds").items():
         value = _float(text, "duration", path, i)
-        if not value > 0:
-            raise ParseError(f"duration must be > 0, got {value}", path=path, line=i)
+        if not 0 < value < float("inf"):
+            raise ParseError(
+                f"duration must be finite and > 0, got {value}", path=path, line=i
+            )
         durations[clip] = value
     return durations
 
@@ -155,81 +170,107 @@ def read_scores(path) -> list[ScoreTrack]:
     frames of each clip contiguous from 0. A clip's rows may come in
     several blocks as long as its frame numbers continue across them.
     Tracks are returned in the order of each clip's first row.
+
+    The file is parsed in one streamed numpy pass; a file that pass cannot
+    vouch for is read again line by line, which gives the same tracks or
+    the line-numbered error.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    hop = None
-    header_idx = None
-    for i, line in enumerate(lines):
-        if line.startswith("#"):
-            text = line.lstrip("#").strip()
-            if text.startswith("hop_seconds="):
-                hop = _float(text.split("=", 1)[1], "hop_seconds", path, i + 1)
-                if not 0 < hop < float("inf"):
-                    raise ParseError(
-                        f"hop_seconds must be finite and > 0, got {hop}", path=path, line=i + 1
-                    )
-        elif line.strip():
-            header_idx = i
-            break
-    if hop is None:
-        raise ParseError("missing '# hop_seconds=<v>' comment", path=path, line=1)
-    if header_idx is None:
-        raise ParseError("missing header row", path=path, line=len(lines))
-    header = lines[header_idx].split(",")
-    if len(header) < 3 or header[:2] != ["clip_id", "frame"] or len(set(header)) < len(header):
-        raise ParseError(
-            "header must be clip_id,frame,<distinct class names>",
-            path=path, line=header_idx + 1,
-        )
-    class_names = tuple(header[2:])
-    body = lines[header_idx + 1 :]
-    tracks = _score_columns(body, hop, class_names)
+    tracks = _score_table(path)
     if tracks is None:
-        tracks = _score_lines(body, header_idx + 2, path, hop, class_names)
+        lines = iter(_read_lines(path))
+        hop, class_names, n_read = _score_header(lines, path)
+        tracks = _score_lines(lines, n_read + 1, path, hop, class_names)
     return tracks
 
 
-def _score_columns(body, hop: float, class_names) -> list[ScoreTrack] | None:
-    """Score-CSV body parsed as columns in one numpy pass.
+def _score_header(lines, path) -> tuple[float, tuple[str, ...], int]:
+    """The hop, the class names and the count of lines read, up to the header row.
 
-    Returns None, for ``_score_lines`` to raise the line-numbered error or
-    to accept what numpy's stricter number syntax refused, unless every row
-    has 2 + K fields, an integer frame and K scores in [0, 1], and every
-    clip's frames run 0..n-1 in a single block of rows.
+    ``lines`` is an iterator; it is left at the first row after the header.
     """
-    rows = list(filter(str.strip, body))
-    if not rows:
-        return []
-    k = len(class_names)
-    # usecols ignores fields past the last one it names, and loadtxt rejects a
-    # row that is short; so with the comma total right, every row has 2 + K.
-    if sum(map(str.count, rows, repeat(","))) != len(rows) * (1 + k):
+    hop = header = None
+    n_read = 0
+    for n_read, line in enumerate(lines, 1):
+        line = line.rstrip("\n")
+        if line.startswith("#"):
+            text = line.lstrip("#").strip()
+            if text.startswith("hop_seconds="):
+                hop = _float(text.split("=", 1)[1], "hop_seconds", path, n_read)
+                if not 0 < hop < float("inf"):
+                    raise ParseError(
+                        f"hop_seconds must be finite and > 0, got {hop}", path=path, line=n_read
+                    )
+        elif line.strip():
+            header = line.split(",")
+            break
+    if hop is None:
+        raise ParseError("missing '# hop_seconds=<v>' comment", path=path, line=1)
+    if header is None:
+        raise ParseError("missing header row", path=path, line=n_read)
+    if len(header) < 3 or header[:2] != ["clip_id", "frame"] or len(set(header)) < len(header):
+        raise ParseError(
+            "header must be clip_id,frame,<distinct class names>", path=path, line=n_read
+        )
+    return hop, tuple(header[2:]), n_read
+
+
+# Bytes after which reading line by line may split a file otherwise than
+# str.splitlines: the breaks it honours besides \n and \r, and the UTF-8 lead
+# bytes of U+0085, U+2028 and U+2029 (which begin other characters too). NUL
+# is one more, as a fixed-width bytes field drops it from the end of an id.
+_SPLIT_BYTES = b"\x00\x0b\x0c\x1c\x1d\x1e\xc2\xe2"
+_ID_BYTES = 64  # width of the clip column; an id that fills it may have been cut
+
+
+def _splits_alike(path) -> bool:
+    """Whether ``path`` holds none of _SPLIT_BYTES."""
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            if any(b in block for b in _SPLIT_BYTES):
+                return False
+    return True
+
+
+def _score_table(path) -> list[ScoreTrack] | None:
+    """Score CSV parsed as columns in one numpy pass over the open file.
+
+    Returns None, for the line-by-line reader to raise the line-numbered
+    error or to accept what numpy's stricter syntax refused, unless the file
+    is UTF-8 with a valid header, every row has 2 + K fields, an id numpy
+    keeps whole, an integer frame and K scores in [0, 1], and every clip's
+    frames run 0..n-1 in a single block of rows.
+    """
+    if not _splits_alike(path):
         return None
-    dtype = [("frame", np.int64), ("scores", np.float64, (k,))]
     try:
-        # numpy 1.23-2.x reads a frame like "3.0" or "2.9" through float() and
-        # truncates it, with only a DeprecationWarning; int() rejects both.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(
-                rows, dtype=dtype, delimiter=",", comments=None, ndmin=1,
-                usecols=range(1, 2 + k),
-            )
-    except (ValueError, DeprecationWarning):
+        with open(path, encoding="utf-8") as fh:
+            hop, class_names, _ = _score_header(fh, path)
+            dtype = [
+                ("clip", f"S{_ID_BYTES}"), ("frame", np.int64),
+                ("scores", np.float64, (len(class_names),)),
+            ]
+            # numpy 1.23-2.x reads a frame like "3.0" or "2.9" through float() and
+            # truncates it, with only a DeprecationWarning; int() rejects both.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # Without usecols, loadtxt rejects a row that is not 2 + K fields.
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ParseError, ValueError, DeprecationWarning):  # ValueError: also a bad UTF-8 byte
         return None
-    # A block starts at each frame 0, and its frames count up from there.
-    frames = table["frame"]
-    index = np.arange(len(rows))
+    if table.size == 0:
+        return []
+    # A block starts at each frame 0, its frames count up from there, and
+    # each of its rows holds the id of its first row.
+    frames, ids = table["frame"], table["clip"]
+    index = np.arange(frames.size)
     starts = np.maximum.accumulate(np.where(frames == 0, index, 0))
-    if not np.array_equal(frames, index - starts):
+    if not (np.array_equal(frames, index - starts) and np.array_equal(ids, ids[starts])):
         return None
-    bounds = np.flatnonzero(frames == 0).tolist() + [len(rows)]
-    run_clips = [rows[start].partition(",")[0] for start in bounds[:-1]]
-    if len(set(run_clips)) != len(run_clips):
+    bounds = np.flatnonzero(frames == 0).tolist() + [frames.size]
+    run_ids = ids[bounds[:-1]].tolist()
+    if len(set(run_ids)) != len(run_ids) or max(map(len, run_ids)) >= _ID_BYTES:
         return None
-    for clip, start, stop in zip(run_clips, bounds, bounds[1:]):
-        if not all(map(str.startswith, rows[start:stop], repeat(clip + ","))):
-            return None
     scores = table["scores"]
     if not (scores.min() >= 0.0 and scores.max() <= 1.0):  # False for NaN
         return None
@@ -238,9 +279,9 @@ def _score_columns(body, hop: float, class_names) -> list[ScoreTrack] | None:
             scores=scores[start:stop].T,
             hop_seconds=hop,
             class_names=class_names,
-            clip_id=clip,
+            clip_id=clip.decode("latin-1"),  # numpy encodes an S field in Latin-1
         )
-        for clip, start, stop in zip(run_clips, bounds, bounds[1:])
+        for clip, start, stop in zip(run_ids, bounds, bounds[1:])
     ]
 
 

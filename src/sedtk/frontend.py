@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import get_window, resample_poly
+from scipy.signal import firwin, get_window, resample_poly
 from scipy.sparse import csr_array
 
 from .core import FeatureMap
@@ -156,6 +156,21 @@ def _analysis_tables(cfg: MelConfig) -> tuple[np.ndarray, csr_array]:
     return window, csr_array(mel_filterbank(cfg))
 
 
+@lru_cache(maxsize=8)
+def _resample_filter(up: int, down: int) -> np.ndarray:
+    """Read-only anti-aliasing FIR of ``resample_poly(x, up, down)``, built once.
+
+    It is the filter resample_poly designs when given no window array: a
+    Kaiser (beta 5) low-pass with its cutoff at 1 / max(up, down) of
+    Nyquist and 10 * max(up, down) taps on each side. resample_poly copies
+    a window array and scales the copy by ``up``, as it scales its own.
+    """
+    rate = max(up, down)
+    taps = firwin(20 * rate + 1, 1.0 / rate, window=("kaiser", 5.0))
+    taps.flags.writeable = False
+    return taps
+
+
 def resample_to_mono_16k(clip: AudioClip) -> AudioClip:
     """Average channels to mono, then band-limited polyphase resample to 16 kHz."""
     if clip.samples.shape[0] == 0:
@@ -167,7 +182,7 @@ def resample_to_mono_16k(clip: AudioClip) -> AudioClip:
         return AudioClip(samples=mono, sample_rate=16000)
     g = math.gcd(int(clip.sample_rate), 16000)
     up, down = 16000 // g, int(clip.sample_rate) // g
-    out = resample_poly(mono.astype(np.float64), up, down)
+    out = resample_poly(mono.astype(np.float64), up, down, window=_resample_filter(up, down))
     return AudioClip(samples=out.astype(np.float32), sample_rate=16000)
 
 

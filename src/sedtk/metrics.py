@@ -165,49 +165,71 @@ def _scored_counts(
     rho_gtc: float,
     thresholds: Sequence[float],
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Per-class TP and FP counts at every threshold from one matching pass.
+    """``_match_counts`` of ``(confidence, Event)`` pairs against truth events.
 
     Returns the sorted classes of ``scored`` and ``truth`` and two
     (len(thresholds), len(classes)) int arrays, TP and FP.
-
-    The detections at threshold tau are those with confidence >= tau. A
-    detection is valid when the sum of its overlaps with same-class truth in
-    the same clip covers at least rho_dtc of it; that does not depend on the
-    threshold. At tau the invalid detections at or above tau are the false
-    positives. A truth event's reach is the highest confidence at which the
-    valid detections at or above it cover rho_gtc of the event (-inf if
-    none); at tau the truth events whose reach is >= tau are the true
-    positives.
-
-    Every coverage is a sum in list order: a detection's overlaps in the
-    order of ``truth``, a truth event's overlaps in the order of ``scored``.
-    Adding a nonnegative term never lowers a rounded sum, so coverage only
-    grows as the threshold falls, and the reach is the highest hit
-    confidence whose coverage passes.
-
-    Memory is linear in the same-clip, same-class (detection, truth) pairs.
-    The (levels, hits) coverage of a truth event is quadratic in its hits,
-    so it is summed in blocks of about _BLOCK_CELLS cells: 3000 hits on one
-    event take a few MB, not the 9e6-cell square.
     """
     events = list(truth) + [e for _, e in scored]
     keys = list(map(attrgetter("clip_id", "class_name"), events))
     codes = {key: i for i, key in enumerate(dict.fromkeys(keys))}  # one per (clip, class)
     code = np.fromiter(map(codes.__getitem__, keys), dtype=np.intp, count=len(keys))
-    t_code, d_code = code[: len(truth)], code[len(truth) :]
     classes = sorted({cls for _, cls in codes})
     column = {cls: j for j, cls in enumerate(classes)}
     code_col = np.array([column[cls] for _, cls in codes], dtype=np.intp)
     spans = np.array(list(map(attrgetter("onset_s", "offset_s"), events)), dtype=np.float64)
-    t_on, t_off = spans[: len(truth)].reshape(-1, 2).T
-    d_on, d_off = spans[len(truth) :].reshape(-1, 2).T
+    on, off = spans.reshape(-1, 2).T
     conf = np.array([c for c, _ in scored], dtype=np.float64)
+    n = len(truth)
+    tp, fp = _match_counts(
+        (code[:n], on[:n], off[:n]), (code[n:], on[n:], off[n:], conf),
+        code_col, len(classes), rho_dtc, rho_gtc, thresholds,
+    )
+    return classes, tp, fp
 
+
+def _match_counts(
+    truth: tuple[np.ndarray, np.ndarray, np.ndarray],
+    dets: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    code_col: np.ndarray,
+    n_cols: int,
+    rho_dtc: float,
+    rho_gtc: float,
+    thresholds: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column TP and FP counts at every threshold from one matching pass.
+
+    ``truth`` holds the ``(code, onset, offset)`` arrays of the truth events
+    and ``dets`` the ``(code, onset, offset, confidence)`` arrays of the
+    detections. A code names one (clip, class), and ``code_col[code]`` is
+    the column of its class. Returns two (len(thresholds), n_cols) int
+    arrays, TP and FP.
+
+    The detections at threshold tau are those with confidence >= tau. A
+    detection is valid when the sum of its overlaps with same-code truth
+    covers at least rho_dtc of it; that does not depend on the threshold. At
+    tau the invalid detections at or above tau are the false positives. A
+    truth event's reach is the highest confidence at which the valid
+    detections at or above it cover rho_gtc of the event (-inf if none); at
+    tau the truth events whose reach is >= tau are the true positives.
+
+    Every coverage is a sum in list order: a detection's overlaps in truth
+    order, a truth event's overlaps in detection order. Adding a nonnegative
+    term never lowers a rounded sum, so coverage only grows as the threshold
+    falls, and the reach is the highest hit confidence whose coverage passes.
+
+    Memory is linear in the same-code (detection, truth) pairs. The
+    (levels, hits) coverage of a truth event is quadratic in its hits, so it
+    is summed in blocks of about _BLOCK_CELLS cells: 3000 hits on one event
+    take a few MB, not the 9e6-cell square.
+    """
+    t_code, t_on, t_off = truth
+    d_code, d_on, d_off, conf = dets
     # (detection, truth) pairs within a code, by detection, then truth order:
     # pair p of detection d takes the truth event at position
     # code start + (p - first pair of d) of the truth sorted by code.
     t_order = np.argsort(t_code, kind="stable")
-    t_count = np.bincount(t_code, minlength=len(codes))
+    t_count = np.bincount(t_code, minlength=code_col.size)
     per_det = t_count[d_code]
     shift = (np.cumsum(t_count)[d_code] - per_det) - (np.cumsum(per_det) - per_det)
     pair_det = np.repeat(np.arange(d_code.size), per_det)
@@ -238,9 +260,56 @@ def _scored_counts(
     np.maximum.at(reach, hit_truth[passed], hit_conf[passed])
 
     levels = np.asarray(thresholds, dtype=np.float64)
-    tp = _tally(reach, code_col[t_code], len(classes), levels)
-    fp = _tally(conf[~valid], code_col[d_code[~valid]], len(classes), levels)
-    return classes, tp, fp
+    tp = _tally(reach, code_col[t_code], n_cols, levels)
+    fp = _tally(conf[~valid], code_col[d_code[~valid]], n_cols, levels)
+    return tp, fp
+
+
+def _truth_totals(truth: AnnotationSet) -> tuple[float, list[str], np.ndarray]:
+    """Annotated hours, the sorted classes of the truth events and their event counts."""
+    if not truth.clip_durations:
+        raise InvalidParameterError("truth must carry clip durations for eFPR")
+    hours = sum(truth.clip_durations.values()) / 3600.0
+    n_truth = Counter(map(attrgetter("class_name"), truth.events))
+    eval_classes = sorted(n_truth)
+    return hours, eval_classes, np.array([n_truth[c] for c in eval_classes], dtype=np.int64)
+
+
+def _require_durations(clips, durations: Mapping[str, float]) -> None:
+    """Raise unless every clip id in ``clips`` has a duration."""
+    missing = sorted(set(clips) - durations.keys())
+    if missing:
+        named = ", ".join(map(repr, missing[:5]))
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise InvalidParameterError(f"no duration for clip {named}{more}")
+
+
+def _staircase(
+    fp_total: np.ndarray, tp: np.ndarray, n_truth: np.ndarray, hours: float, alpha_st: float
+) -> list[tuple[float, float]]:
+    """Monotone upper staircase, anchored at (0, 0), of one operating point per row.
+
+    Row r counts ``fp_total[r]`` false positives over every class and
+    ``tp[r]`` true positives per truth class, whose event counts are
+    ``n_truth``: eFPR is per hour of annotated audio, eTPR the TPR mean over
+    the truth classes minus alpha_st times their std.
+    """
+    efpr = fp_total / hours
+    if n_truth.size:
+        # numpy sums each row of a C-ordered array pairwise, as it sums a 1-D
+        # array, but an F-ordered one (a column pick) column by column.
+        tprs = np.ascontiguousarray(tp / n_truth)
+        etpr = tprs.mean(axis=1) - alpha_st * tprs.std(axis=1)
+    else:
+        etpr = np.zeros(efpr.size)
+    curve = [(0.0, 0.0)]
+    for efpr, etpr in sorted(zip(efpr.tolist(), etpr.tolist())):
+        if etpr > curve[-1][1]:
+            if efpr == curve[-1][0]:
+                curve[-1] = (efpr, etpr)
+            else:
+                curve.append((efpr, etpr))
+    return curve
 
 
 def _is_scored(items: list) -> bool:
@@ -273,23 +342,14 @@ def psd_roc(
     normalized by the total annotated audio duration, so every clip that a
     truth event or a detection names must have a duration.
     """
-    if not truth.clip_durations:
-        raise InvalidParameterError("truth must carry clip durations for eFPR")
-    hours = sum(truth.clip_durations.values()) / 3600.0
-    n_truth = Counter(map(attrgetter("class_name"), truth.events))
-    eval_classes = sorted(n_truth)
-
+    hours, eval_classes, n_truth = _truth_totals(truth)
     if callable(detections):
         detections = [detections(t) for t in cfg.thresholds]
     detections = list(detections)
     is_scored = _is_scored(detections)
     events = (e for _, e in detections) if is_scored else (e for d in detections for e in d)
     clips = set(map(attrgetter("clip_id"), events)).union(e.clip_id for e in truth.events)
-    missing = sorted(clips - truth.clip_durations.keys())
-    if missing:
-        named = ", ".join(map(repr, missing[:5]))
-        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
-        raise InvalidParameterError(f"no duration for clip {named}{more}")
+    _require_durations(clips, truth.clip_durations)
     if is_scored:
         classes, tp, fp = _scored_counts(
             detections, truth.events, cfg.rho_dtc, cfg.rho_gtc, cfg.thresholds
@@ -305,27 +365,7 @@ def psd_roc(
         tp = np.array(
             [[c[cls][0] for cls in eval_classes] for c in counts], dtype=np.int64
         ).reshape(len(counts), len(eval_classes))
-
-    # One operating point per row: eFPR over all classes, eTPR over eval_classes.
-    efpr = fp_total / hours
-    if eval_classes:
-        # numpy sums each row of a C-ordered array pairwise, as it sums a 1-D
-        # array, but an F-ordered one (the column pick above) column by column.
-        tprs = np.ascontiguousarray(tp / np.array([n_truth[c] for c in eval_classes]))
-        etpr = tprs.mean(axis=1) - cfg.alpha_st * tprs.std(axis=1)
-    else:
-        etpr = np.zeros(efpr.size)
-    points = sorted(zip(efpr.tolist(), etpr.tolist()))
-
-    # Monotone upper staircase anchored at (0, 0).
-    curve = [(0.0, 0.0)]
-    for efpr, etpr in points:
-        if etpr > curve[-1][1]:
-            if efpr == curve[-1][0]:
-                curve[-1] = (efpr, etpr)
-            else:
-                curve.append((efpr, etpr))
-    return curve
+    return _staircase(fp_total, tp, n_truth, hours, cfg.alpha_st)
 
 
 def psds(curve: Sequence[tuple[float, float]], cfg: PsdsConfig = PsdsConfig()) -> float:

@@ -29,7 +29,17 @@ from .errors import (
     UnknownClassError,
     UnsortedInputError,
 )
-from .metrics import AnnotationSet, Event, psd_roc, psds
+from .metrics import (
+    AnnotationSet,
+    Event,
+    PsdsConfig,
+    _match_counts,
+    _require_durations,
+    _staircase,
+    _truth_totals,
+    psd_roc,  # not called here; perfbench/spans.py times it at this name too
+    psds,
+)
 
 
 @dataclass(frozen=True)
@@ -347,31 +357,62 @@ def tune_csebb(
         seen.add(tr.clip_id)
     merges = list(itertools.product(axes["merge_threshold_abs"], axes["merge_threshold_rel"]))
 
+    # Coded once: a code per (clip, class), for the truth events and for each
+    # score row; row r of the rows of all tracks belongs to track row_track[r].
+    psds_cfg = PsdsConfig()
+    hours, eval_classes, n_truth = _truth_totals(truth)
+    codes: dict[tuple[str, str], int] = {}
+    t_code = [codes.setdefault((e.clip_id, e.class_name), len(codes)) for e in truth.events]
+    row_code = [codes.setdefault((tr.clip_id, c), len(codes))
+                for tr in tracks for c in tr.class_names]
+    classes = sorted({cls for _, cls in codes})
+    column = {cls: j for j, cls in enumerate(classes)}
+    code_col = np.array([column[cls] for _, cls in codes], dtype=np.intp)
+    eval_cols = [column[cls] for cls in eval_classes]
+    coded_truth = (
+        np.array(t_code, dtype=np.intp),
+        np.array([e.onset_s for e in truth.events], dtype=np.float64),
+        np.array([e.offset_s for e in truth.events], dtype=np.float64),
+    )
+    row_code = np.array(row_code, dtype=np.intp)
+    row_track = np.repeat(np.arange(len(tracks)), [len(tr.class_names) for tr in tracks])
+    row_hop = np.array([tr.hop_seconds for tr in tracks])[row_track]
+    rows = [row for tr in tracks for row in tr.scores]
+    truth_clips = {e.clip_id for e in truth.events}
+
     # Each stage runs once for the axes it depends on: peaks and troughs per
     # filter_len (the marks beyond the smallest boundary_threshold serve every
     # one), candidate spans per boundary_threshold, merging per merge pair.
     floor = axes["boundary_threshold"][0]
     best: tuple[float, CsebbConfig] | None = None
     for fl in axes["filter_len"]:
-        marks = [_boundaries(delta_scores(tr.scores, fl), floor) for tr in tracks]
+        marks = [m for tr in tracks for m in _boundaries(delta_scores(tr.scores, fl), floor)]
         for bt in axes["boundary_threshold"]:
-            cands = [
-                [_candidate_frames(row, m, bt) for row, m in zip(tr.scores, track_marks)]
-                for tr, track_marks in zip(tracks, marks)
-            ]
+            cands = [_candidate_frames(row, m, bt) for row, m in zip(rows, marks)]
             for ma, mr in merges:
                 cfg = CsebbConfig(fl, ma, mr, bt)
-                scored = []
-                for tr, per_class in zip(tracks, cands):
-                    hop = tr.hop_seconds
-                    found = [
-                        (conf, Event(tr.clip_id, cname, a * hop, b * hop))
-                        for cname, row, spans in zip(tr.class_names, tr.scores, per_class)
-                        for a, b, conf in _merge_frames(spans, row, ma, mr)
-                    ]
-                    found.sort(key=lambda s: (s[1].onset_s, s[1].class_name))
-                    scored += found
-                value = psds(psd_roc(scored, truth))
+                merged = [_merge_frames(spans, row, ma, mr) for spans, row in zip(cands, rows)]
+                n = np.array(list(map(len, merged)), dtype=np.intp)  # boxes per row
+                box = np.array([b for m in merged for b in m], dtype=np.float64).reshape(-1, 3)
+                track = np.repeat(row_track, n)
+                hop = np.repeat(row_hop, n)
+                onset, offset = box[:, 0] * hop, box[:, 1] * hop
+                # tracks in order, then each track's boxes by onset, then class
+                # name, as detect_sebbs orders them
+                order = np.lexsort((np.repeat(code_col[row_code], n), onset, track))
+                _require_durations(
+                    truth_clips.union(tracks[i].clip_id for i in np.unique(track).tolist()),
+                    truth.clip_durations,
+                )
+                dets = (np.repeat(row_code, n)[order], onset[order], offset[order], box[order, 2])
+                tp, fp = _match_counts(
+                    coded_truth, dets, code_col, len(classes),
+                    psds_cfg.rho_dtc, psds_cfg.rho_gtc, psds_cfg.thresholds,
+                )
+                curve = _staircase(
+                    fp.sum(axis=1), tp[:, eval_cols], n_truth, hours, psds_cfg.alpha_st
+                )
+                value = psds(curve)
                 if best is None or value > best[0] + 1e-12:
                     best = (value, cfg)
     assert best is not None

@@ -570,3 +570,68 @@ class TestPostprocessAndTune:
         assert f"usage error: {grid}:2: unknown grid key 'window'" in captured.err
         assert str(missing) not in captured.err.splitlines()[-1]
         assert captured.out == ""
+
+
+class TestTextInputs:
+    """Every text file a subcommand reads is UTF-8, or a data error at the bad line."""
+
+    def _argv(self, tmp_path, bad_flag, bad):
+        s = np.zeros((1, 200))
+        s[0, 40:120] = 0.9
+        scores = tmp_path / "scores.csv"
+        write_scores([ScoreTrack(s, 0.02, ("dog",), "a")], scores)
+        events, truth, durs = tmp_path / "events.tsv", tmp_path / "truth.tsv", tmp_path / "d.tsv"
+        write_events([Event("a", "dog", 0.8, 2.4)], events)
+        write_events([Event("a", "dog", 0.8, 2.4)], truth)
+        write_durations({"a": 4.0}, durs)
+        class_map = tmp_path / "map.tsv"
+        class_map.write_text("dog\tanimal\n")
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("filter_len=5,21\n")
+        paths = {"--scores": scores, "--events": events, "--truth": truth,
+                 "--durations": durs, "--class-map": class_map, "--grid": grid}
+        paths[bad_flag] = bad
+        if bad_flag == "--config":
+            return ["evaluate", "--psds", "--config", str(bad)]
+        if bad_flag in ("--scores", "--grid"):
+            argv, flags = ["tune-sebb"], ("--scores", "--truth", "--durations", "--grid")
+        else:
+            argv, flags = ["evaluate", "--psds"], ("--events", "--truth", "--durations", "--class-map")
+        return argv + [part for flag in flags for part in (flag, str(paths[flag]))]
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--scores", "--events", "--truth", "--durations", "--class-map", "--grid", "--config"],
+    )
+    @pytest.mark.parametrize("data, line", [(b"\xff\xfe", 1), (b"# ok\n\n\xe9t\xe9\n", 3)])
+    def test_bad_byte_is_data_error_at_its_line(self, tmp_path, capsys, flag, data, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data)
+        code = run(self._argv(tmp_path, flag, bad))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines()[-1] == f"error: {bad}:{line}: not UTF-8 text"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, name", [("--scores", "scores.csv"), ("--events", "events.tsv")])
+    def test_the_same_command_passes_with_good_files(self, tmp_path, capsys, flag, name):
+        assert run(self._argv(tmp_path, flag, tmp_path / name)) == 0
+
+    @pytest.mark.parametrize("command", ["tune-sebb", "evaluate"])
+    def test_score_file_without_rows_is_data_error(self, tmp_path, capsys, command):
+        argv = self._argv(tmp_path, "--scores", tmp_path / "scores.csv")
+        scores = tmp_path / "empty.csv"
+        scores.write_text("# hop_seconds=0.02\nclip_id,frame,dog\n\n")
+        if command == "tune-sebb":
+            argv[argv.index("--scores") + 1] = str(scores)
+        else:
+            argv = ["evaluate", "--mpauc", "--segscores", str(scores),
+                    "--segtruth", str(tmp_path / "scores.csv")]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines()[-1] == (
+            f"error: {scores}:3: no score rows after the header"
+        )
+        assert captured.out == ""

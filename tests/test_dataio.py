@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sedtk.dataio import (
-    _score_columns,
+    _read_lines,
+    _score_table,
     apply_class_map,
     read_annotations,
     read_class_map,
@@ -109,6 +110,15 @@ class TestDurations:
             read_durations(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("text", ["inf", "Infinity", "nan"])
+    def test_rejects_non_finite(self, tmp_path, text):
+        path = tmp_path / "d.tsv"
+        path.write_text(f"a\t10.0\nb\t{text}\n")
+        message = r"duration must be finite and > 0, got (inf|nan)$"
+        with pytest.raises(ParseError, match=message) as err:
+            read_durations(path)
+        assert err.value.line == 2
+
     def test_repeated_clip_rejected(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("a\t10\nb\t10\na\t20\n")
@@ -167,6 +177,39 @@ class TestClassMap:
         with pytest.raises(ParseError, match=f"key 'dog' is already set at {path}:2$") as err:
             read_class_map(path)
         assert err.value.line == 3
+
+
+class TestReadLines:
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"\xff\xfe", 1),
+            (b"a\tb\n\xffc\n", 2),
+            (b"a\r\nb\r\nc\xe9\r\n", 3),  # Latin-1, not UTF-8
+            (b"a\rb\x0cc\n\n\xc3", 5),  # str.splitlines numbering; a cut sequence
+        ],
+    )
+    def test_bad_byte_is_an_error_on_its_line(self, tmp_path, data, line):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="not UTF-8 text$") as err:
+            _read_lines(path)
+        assert err.value.line == line
+        assert str(err.value) == f"{path}:{line}: not UTF-8 text"
+
+    def test_lines_are_those_of_read_text(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("a\r\nb\rc\x0cd\u2028e\n\n".encode())
+        assert _read_lines(path) == path.read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize(
+        "reader", [read_annotations, read_durations, read_class_map, read_scores]
+    )
+    def test_every_reader_rejects_bad_bytes(self, tmp_path, reader):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ParseError, match="not UTF-8 text$"):
+            reader(path)
 
 
 class TestScores:
@@ -252,9 +295,10 @@ class TestScores:
             read_scores(path)
         assert err.value.line == 5
 
-    def test_blank_lines_stay_on_the_column_path(self):
-        body = ["", "a,0,0.1", "  ", "a,1,0.2", "\t", "b,0,0.3", "", " "]
-        tracks = _score_columns(body, 0.5, ("dog",))
+    def test_blank_lines_stay_on_the_column_path(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# hop_seconds=0.5\n\nclip_id,frame,dog\n\na,0,0.1\na,1,0.2\n\nb,0,0.3\n\n")
+        tracks = _score_table(path)
         assert tracks is not None
         assert [t.clip_id for t in tracks] == ["a", "b"]
         np.testing.assert_array_equal(tracks[0].scores, [[0.1, 0.2]])
@@ -280,8 +324,9 @@ class TestScores:
 
         def truncating_loadtxt(rows, **kwargs):
             warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
-            split = (row.partition(",") for row in rows)
-            return loadtxt([f"{int(float(f))},{rest}" for f, _, rest in split], **kwargs)
+            fields = [row.split(",") for row in rows]
+            return loadtxt([",".join([c, str(int(float(f))), *rest]) for c, f, *rest in fields],
+                           **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
         path = tmp_path / "s.csv"
@@ -427,6 +472,21 @@ def csv_path(tmp_path_factory):
 @example(["# hop_seconds=1", "clip_id,frame,c0", "a,0,0.1", "a,1,0.2", "a,2,0.3", "a,3.0,0.4"])
 @example(["# hop_seconds=1", "clip_id,frame,c0", "a"])
 @example(["# hop_seconds=1", "clip_id,frame,c0", "a,0,0.1", "a,1,0.2", "a,0,0.3"])
+# Rows the streamed pass cannot vouch for: ids numpy would cut or drop a NUL
+# from, ids it cannot encode, and breaks str.splitlines honours but a file's
+# lines do not, in an id or around a number.
+@example(["# hop_seconds=1", "clip_id,frame,c0", "x" * 64 + ",0,0.1", "x" * 64 + ",1,0.2"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "x" * 65 + ",0,0.1", "x" * 65 + ",1,0.2"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "a\x00,0,0.1", "a,0,0.2"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "a\x0c,0,0.1"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "a,0\x0b,0.1"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "a,0,0.1", "a,1,0.2\x1c"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "a\x85b,0,0.1"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "a,0,\u20280.1"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "日本,0,0.1", "日本,1,0.2", "é,0,0.3"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "é,0,0.1", "é,1,0.2", "ß,0,0.3"])
+@example(["# hop_seconds=1\r", "clip_id,frame,c0\r", "a,0,0.1\r", "a,1,0.2\r", "b,0,0.3\r"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "a,0,0.1", "  ", "\t", "a,1,0.2", "\xa0"])
 def test_read_scores_matches_per_line_reader(csv_path, lines):
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     fast = _outcome(read_scores, csv_path)

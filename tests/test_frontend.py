@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.signal import get_window
+from scipy.signal import get_window, resample_poly
 
 from sedtk.errors import ConfigInvalidError, EmptyAudioError, ParseError
 from sedtk.frontend import (
     _BLOCK_BYTES,
     AudioClip,
     _analysis_tables,
+    _resample_filter,
     MelConfig,
     hz_to_mel,
     log_mel,
@@ -56,6 +57,17 @@ class TestResample:
     def test_empty_audio(self):
         with pytest.raises(EmptyAudioError):
             resample_to_mono_16k(AudioClip(np.zeros(0, np.float32), SR))
+
+    @pytest.mark.parametrize("rate", [8000, 11025, 22050, 32000, 44100, 48000])
+    def test_cached_filter_equals_resample_poly_default(self, rate):
+        samples = np.random.default_rng(rate).uniform(-1, 1, rate // 4).astype(np.float32)
+        out = resample_to_mono_16k(AudioClip(samples, rate))
+        up, down = 16000 // np.gcd(rate, 16000), rate // np.gcd(rate, 16000)
+        want = resample_poly(samples.astype(np.float64), up, down).astype(np.float32)
+        np.testing.assert_array_equal(out.samples, want)
+        taps = _resample_filter(up, down)
+        assert taps is _resample_filter(up, down)
+        assert not taps.flags.writeable
 
 
 class TestMelScale:

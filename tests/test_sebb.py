@@ -18,7 +18,7 @@ from sedtk.errors import (
     UnknownClassError,
     UnsortedInputError,
 )
-from sedtk.metrics import AnnotationSet, Event, PsdsConfig, psd_roc, psds
+from sedtk.metrics import AnnotationSet, Event, PsdsConfig, _match_counts, psd_roc, psds
 from sedtk.sebb import (
     SEBB,
     CsebbConfig,
@@ -544,11 +544,13 @@ def _reference_grid(tracks, truth, grid):
 
 @st.composite
 def _tuning_case(draw):
-    names = ("dog", "cat", "bird")[: draw(st.integers(1, 3))]
-    hop = draw(st.sampled_from([0.016, 0.02, 0.1]))
+    classes = ("dog", "cat", "bird")[: draw(st.integers(1, 3))]
     tracks, events = [], []
     for i in range(draw(st.integers(1, 4))):
-        n = draw(st.integers(3, 90))  # tracks of different lengths
+        # tracks of different lengths and hops, with their classes in any order
+        names = tuple(draw(st.permutations(classes)))
+        hop = draw(st.sampled_from([0.016, 0.02, 0.1]))
+        n = draw(st.integers(3, 90))
         rows = []
         for cname in names:
             kind = draw(st.sampled_from(["zero", "levels", "uniform"]))
@@ -567,7 +569,8 @@ def _tuning_case(draw):
                 events.append(Event(f"c{i}", cname, a * hop, b * hop))
         tracks.append(ScoreTrack(np.array(rows), hop, names, f"c{i}"))
     truth = AnnotationSet(
-        events=events, clip_durations={tr.clip_id: tr.n_frames * hop for tr in tracks},
+        events=events,
+        clip_durations={tr.clip_id: tr.n_frames * tr.hop_seconds for tr in tracks},
     )
 
     def axis(values, max_size=2):
@@ -587,26 +590,68 @@ class TestTuneCsebbMatchesPerConfigPipeline:
     @given(_tuning_case())
     def test_every_grid_point_scored_list_and_psds_are_identical(self, case):
         tracks, truth, grid = case
-        seen_scored, seen_psds = [], []
+        seen_dets, seen_psds = [], []
 
-        def recording_psd_roc(scored, *args):
-            seen_scored.append(list(scored))
-            return psd_roc(scored, *args)
+        def recording_match_counts(coded_truth, dets, code_col, *args):
+            seen_dets.append((coded_truth, dets, code_col))
+            return _match_counts(coded_truth, dets, code_col, *args)
 
         def recording_psds(*args):
             seen_psds.append(psds(*args))
             return seen_psds[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sedtk.sebb, "psd_roc", recording_psd_roc)
+            mp.setattr(sedtk.sebb, "_match_counts", recording_match_counts)
             mp.setattr(sedtk.sebb, "psds", recording_psds)
             best = tune_csebb(tracks, truth, grid)
 
         reference = _reference_grid(tracks, truth, grid)
-        assert seen_scored == [scored for _, scored, _ in reference]
+        assert len(seen_dets) == len(reference)
+        for ((t_code, t_on, t_off), (d_code, d_on, d_off, conf), code_col), (_, scored, _) in zip(
+            seen_dets, reference
+        ):
+            # every detection in order: its confidence and span as the reference's
+            assert conf.tolist() == [c for c, _ in scored]
+            assert d_on.tolist() == [e.onset_s for _, e in scored]
+            assert d_off.tolist() == [e.offset_s for _, e in scored]
+            assert t_on.tolist() == [e.onset_s for e in truth.events]
+            assert t_off.tolist() == [e.offset_s for e in truth.events]
+            # one code per (clip, class) of the truth and the detections, and
+            # one column per class
+            keys = [(e.clip_id, e.class_name) for e in truth.events]
+            keys += [(e.clip_id, e.class_name) for _, e in scored]
+            coded = set(zip(keys, t_code.tolist() + d_code.tolist()))
+            assert len(coded) == len(set(keys)) == len({code for _, code in coded})
+            columns = {(cls, int(code_col[code])) for (_, cls), code in coded}
+            assert len(columns) == len({cls for cls, _ in columns}) == len(
+                {col for _, col in columns}
+            )
         assert seen_psds == [value for _, _, value in reference]
         winner = None
         for cfg, _, value in reference:
             if winner is None or value > winner[1] + 1e-12:
                 winner = (cfg, value)
         assert best == winner[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_tuning_case(), st.data())
+    def test_clips_without_duration_are_named_at_the_reference_grid_point(self, case, data):
+        tracks, truth, grid = case
+        dated = data.draw(st.sets(st.sampled_from(sorted(truth.clip_durations))), label="dated")
+        truth = AnnotationSet(
+            events=truth.events,
+            clip_durations={c: d for c, d in truth.clip_durations.items() if c in dated},
+        )
+
+        def outcome(run):
+            try:
+                return run()
+            except InvalidParameterError as exc:
+                return str(exc)
+
+        got = outcome(lambda: tune_csebb(tracks, truth, grid))
+        want = outcome(lambda: _reference_grid(tracks, truth, grid))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str)
