@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, metrics, mixstyle, sebb, stats
-from .core import DomainTag, RandomSource, make_batch, read_fmt, write_fmt
+from .core import DomainTag, RandomSource, atomic_open, make_batch, read_fmt, write_fmt
 from .errors import (
     ConfigInvalidError,
     EmptyAudioError,
@@ -298,7 +298,8 @@ def cmd_tune_sebb(args, cfg) -> int:
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
+        with atomic_open(args.out) as fh:
+            fh.write(report)
     return 0
 
 
@@ -394,7 +395,8 @@ def cmd_evaluate(args, cfg) -> int:
     report_text = "\n".join(lines) + "\n"
     sys.stdout.write(report_text)
     if args.out:
-        Path(args.out).write_text(report_text, encoding="utf-8")
+        with atomic_open(args.out) as fh:
+            fh.write(report_text)
     return 0
 
 

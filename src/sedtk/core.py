@@ -7,7 +7,11 @@ Storage is float32; all reductions elsewhere accumulate in float64.
 
 from __future__ import annotations
 
+import os
+import secrets
+import shutil
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -195,13 +199,46 @@ def beta_sample(rng: RandomSource, alpha: float, size=None):
     return out.reshape(size)
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open ``path`` for writing through a temporary file beside it.
+
+    The temporary file replaces ``path``, taking its permission bits, when
+    the block ends without an error; on an error it is removed and ``path``
+    is left as it was. Text modes write UTF-8 with LF line ends. A path that
+    exists but is not a regular file (``/dev/stdout``, a FIFO) is written in
+    place.
+    """
+    target = os.path.realpath(path)
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, mode, **text) as fh:
+            yield fh
+        return
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+    try:
+        fh = open(tmp, mode.replace("w", "x"), **text)
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            yield fh
+        with suppress(FileNotFoundError):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_fmt(batch: Batch, path) -> None:
     """Serialize a batch to the binary tensor format.
 
     Layout: magic "FMT1", u32-LE N,C,F,T, N*C*F*T little-endian float32 in
     (n,c,f,t) row-major order, then N domain-tag bytes (0=DESED, 1=MAESTRO).
     """
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(FMT_MAGIC)
         fh.write(struct.pack("<4I", len(batch), *batch.shape))
         fh.write(batch.data.astype("<f4", copy=False))

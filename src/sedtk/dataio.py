@@ -9,12 +9,13 @@ with a line-numbered error rather than silently accepting part of a file.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .core import atomic_open
 from .errors import (
     InvalidIntervalError,
     InvalidParameterError,
@@ -26,6 +27,23 @@ from .metrics import AnnotationSet, Event
 from .sebb import ScoreTrack
 
 EVENT_HEADER = "filename\tonset\toffset\tevent_label"
+# The characters str.splitlines splits a line at, so no field may hold one.
+_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _splits(text: str, separator: str) -> bool:
+    """Whether reading lines, then fields at ``separator``, would split ``text``."""
+    return separator in text or not _LINE_BREAKS.isdisjoint(text)
+
+
+def _refuse_split(what: str, texts, separator: str) -> None:
+    """Raise InvalidParameterError for the first text its reader would split."""
+    for text in texts:
+        if _splits(text, separator):
+            raise InvalidParameterError(
+                f"{what} {text!r} holds {separator!r} or a line break, "
+                "which would split its row when the file is read"
+            )
 
 
 def _read_lines(path) -> list[str]:
@@ -83,9 +101,15 @@ def read_annotations(path) -> AnnotationSet:
 
 
 def write_events(events: Sequence[Event], path) -> None:
-    """Write events as TSV, sorted by (clip, onset, class)."""
+    """Write events as TSV, sorted by (clip, onset, class).
+
+    A clip id or class holding a TAB or a line break is an
+    ``InvalidParameterError``, raised before ``path`` is opened.
+    """
     rows = sorted(events, key=lambda e: (e.clip_id, e.onset_s, e.class_name))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    _refuse_split("clip id", [e.clip_id for e in rows], "\t")
+    _refuse_split("class", [e.class_name for e in rows], "\t")
+    with atomic_open(path) as fh:
         fh.write(EVENT_HEADER + "\n")
         for e in rows:
             fh.write(f"{e.clip_id}\t{e.onset_s:.6f}\t{e.offset_s:.6f}\t{e.class_name}\n")
@@ -128,7 +152,7 @@ def read_durations(path) -> dict[str, float]:
 
 
 def write_durations(durations: Mapping[str, float], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         for clip in sorted(durations):
             fh.write(f"{clip}\t{durations[clip]:.6f}\n")
 
@@ -171,9 +195,9 @@ def read_scores(path) -> list[ScoreTrack]:
     several blocks as long as its frame numbers continue across them.
     Tracks are returned in the order of each clip's first row.
 
-    The file is parsed in one streamed numpy pass; a file that pass cannot
-    vouch for is read again line by line, which gives the same tracks or
-    the line-numbered error.
+    The file's bytes are parsed in numpy passes when its scores are fixed
+    decimals (``_score_table``); any other file is read again line by line,
+    which gives the same tracks or the line-numbered error.
     """
     tracks = _score_table(path)
     if tracks is None:
@@ -214,75 +238,169 @@ def _score_header(lines, path) -> tuple[float, tuple[str, ...], int]:
     return hop, tuple(header[2:]), n_read
 
 
-# Bytes after which reading line by line may split a file otherwise than
-# str.splitlines: the breaks it honours besides \n and \r, and the UTF-8 lead
-# bytes of U+0085, U+2028 and U+2029 (which begin other characters too). NUL
-# is one more, as a fixed-width bytes field drops it from the end of an id.
-_SPLIT_BYTES = b"\x00\x0b\x0c\x1c\x1d\x1e\xc2\xe2"
-_ID_BYTES = 64  # width of the clip column; an id that fills it may have been cut
-
-
-def _splits_alike(path) -> bool:
-    """Whether ``path`` holds none of _SPLIT_BYTES."""
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            if any(b in block for b in _SPLIT_BYTES):
-                return False
-    return True
+_BLOCK_BYTES = 1 << 19  # bytes per numpy pass over the file, its row tails or its ids
+_FRAME_DIGITS = 16  # a frame of more digits is left to the line reader
 
 
 def _score_table(path) -> list[ScoreTrack] | None:
-    """Score CSV parsed as columns in one numpy pass over the open file.
+    """Score CSV parsed from its bytes in numpy passes over blocks of rows.
 
     Returns None, for the line-by-line reader to raise the line-numbered
-    error or to accept what numpy's stricter syntax refused, unless the file
-    is UTF-8 with a valid header, every row has 2 + K fields, an id numpy
-    keeps whole, an integer frame and K scores in [0, 1], and every clip's
-    frames run 0..n-1 in a single block of rows.
+    error or to accept what this pass does not take, unless: the file is
+    UTF-8 and ends in LF; its header is valid; every non-empty row is
+    ``id,frame,s1,...,sK`` with ASCII digits for the frame and K scores in
+    [0, 1] written as fixed decimals of one width (as ``%.nf`` writes them,
+    1 <= n <= 15); no id or header line holds a comma or line break of its
+    own; and every clip's frames run 0..n-1 in a single block of rows.
+    The scores, frames and the commas around them are checked byte by byte,
+    so only the header and the ids are left to be checked as text.
     """
-    if not _splits_alike(path):
+    data = Path(path).read_bytes()
+    if not data.endswith(b"\n"):
         return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.concatenate([
+        np.flatnonzero(buf[i : i + _BLOCK_BYTES] == ord("\n")) + i
+        for i in range(0, buf.size, _BLOCK_BYTES)
+    ])
     try:
-        with open(path, encoding="utf-8") as fh:
-            hop, class_names, _ = _score_header(fh, path)
-            dtype = [
-                ("clip", f"S{_ID_BYTES}"), ("frame", np.int64),
-                ("scores", np.float64, (len(class_names),)),
-            ]
-            # numpy 1.23-2.x reads a frame like "3.0" or "2.9" through float() and
-            # truncates it, with only a DeprecationWarning; int() rejects both.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                # Without usecols, loadtxt rejects a row that is not 2 + K fields.
-                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except (ParseError, ValueError, DeprecationWarning):  # ValueError: also a bad UTF-8 byte
+        hop, class_names, n_read = _score_header(_decoded_lines(data, ends), path)
+    except (ParseError, ValueError):  # ValueError: also a bad UTF-8 byte
         return None
-    if table.size == 0:
+    k = len(class_names)
+    starts, ends = ends[n_read - 1 : -1] + 1, ends[n_read:]
+    keep = ends > starts  # empty rows are skipped
+    starts, ends = starts[keep], ends[keep]
+    if not starts.size:
         return []
+    # The layout of every row's K scores is that of the first row's last one.
+    row = data[starts[0] : ends[0]]
+    field = row[row.rfind(b",") + 1 :]
+    point, width = field.find(b"."), len(field) + 1  # a field and its comma or LF
+    if not (point >= 1 and 1 <= width - point - 2 <= 15 and width <= 20):
+        return None
+    tail_starts = ends + 1 - k * width
+    # Room for an id, a comma, a frame digit and a comma before the scores.
+    # The header takes at least 30 bytes, so every frame window below starts
+    # inside the file.
+    if not (tail_starts - starts >= 3).all():
+        return None
+    tails = sliding_window_view(buf, k * width)
+    heads = sliding_window_view(buf, _FRAME_DIGITS + 1)
+    scores = np.empty((starts.size, k))
+    frames, id_ends = np.empty_like(starts), np.empty_like(starts)
+    step = max(1, _BLOCK_BYTES // (k * width))
+    for r0 in range(0, starts.size, step):
+        at = tail_starts[r0 : r0 + step]
+        values = _fixed_decimals(tails[at], k, point)
+        parsed = _frame_numbers(heads[at - 1 - _FRAME_DIGITS])
+        if values is None or parsed is None or not values.max() <= 1.0:
+            return None
+        scores[r0 : r0 + step] = values
+        frames[r0 : r0 + step], n_digits = parsed
+        id_ends[r0 : r0 + step] = at - 2 - n_digits
     # A block starts at each frame 0, its frames count up from there, and
     # each of its rows holds the id of its first row.
-    frames, ids = table["frame"], table["clip"]
     index = np.arange(frames.size)
-    starts = np.maximum.accumulate(np.where(frames == 0, index, 0))
-    if not (np.array_equal(frames, index - starts) and np.array_equal(ids, ids[starts])):
+    block_starts = np.maximum.accumulate(np.where(frames == 0, index, 0))
+    id_lens = id_ends - starts
+    if not (
+        np.array_equal(frames, index - block_starts)
+        and np.array_equal(id_lens, id_lens[block_starts])
+        and _same_bytes(buf, starts, starts[block_starts], id_lens)
+    ):
         return None
     bounds = np.flatnonzero(frames == 0).tolist() + [frames.size]
-    run_ids = ids[bounds[:-1]].tolist()
-    if len(set(run_ids)) != len(run_ids) or max(map(len, run_ids)) >= _ID_BYTES:
+    try:
+        clips = [data[starts[i] : id_ends[i]].decode("utf-8") for i in bounds[:-1]]
+    except UnicodeDecodeError:
         return None
-    scores = table["scores"]
-    if not (scores.min() >= 0.0 and scores.max() <= 1.0):  # False for NaN
+    if len(set(clips)) != len(clips) or any(_splits(clip, ",") for clip in clips):
         return None
     return [
         ScoreTrack(
-            scores=scores[start:stop].T,
-            hop_seconds=hop,
-            class_names=class_names,
-            clip_id=clip.decode("latin-1"),  # numpy encodes an S field in Latin-1
+            scores=scores[start:stop].T, hop_seconds=hop, class_names=class_names, clip_id=clip
         )
-        for clip, start, stop in zip(run_ids, bounds, bounds[1:])
+        for clip, start, stop in zip(clips, bounds, bounds[1:])
     ]
+
+
+def _decoded_lines(data: bytes, ends):
+    """The lines of ``data`` that end at the LF offsets ``ends``, decoded as read.
+
+    A line that ``str.splitlines`` would split again is a ValueError.
+    """
+    start = 0
+    for end in ends:
+        line = data[start:end].decode("utf-8")
+        if not _LINE_BREAKS.isdisjoint(line):
+            raise ValueError("a line break besides LF")
+        yield line
+        start = end + 1
+
+
+def _fixed_decimals(tails: np.ndarray, k: int, point: int) -> np.ndarray | None:
+    """The (rows, K) values of byte rows of K fixed-decimal fields, or None.
+
+    Each row holds K fields of one width: ``point`` digits, ".", one or
+    more digits, then "," (LF after the last field). A value is its digits
+    read as one int64, divided once by 10**places. For a value below 2 at
+    up to 15 places, both are doubles exactly (the integer is below
+    2 * 10**15 < 2**53), so the one rounding of the division gives the
+    bits that ``float`` gives the text.
+    """
+    width = tails.shape[1] // k
+    lo, hi = np.full(width, ord("0"), np.uint8), np.full(width, ord("9"), np.uint8)
+    lo[point] = hi[point] = ord(".")
+    lo[-1] = hi[-1] = ord(",")
+    lo, hi = np.tile(lo, k), np.tile(hi, k)
+    lo[-1] = hi[-1] = ord("\n")
+    offsets = tails - lo  # a digit's value; a byte off the pattern wraps above hi - lo
+    if not (offsets <= hi - lo).all():
+        return None
+    places = offsets.reshape(-1, width).T.copy()  # one contiguous row per byte of a field
+    mantissa = places[0].astype(np.int64)
+    for j in [*range(1, point), *range(point + 1, width - 1)]:
+        mantissa *= 10
+        mantissa += places[j]
+    return (mantissa / 10.0 ** (width - point - 2)).reshape(len(tails), k)
+
+
+def _frame_numbers(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The frames and their digit counts in rows that end ``,<frame>,``, or None.
+
+    Each row of ``heads`` is the _FRAME_DIGITS bytes before a row's first
+    score, then the comma before that score. The frame is the run of ASCII
+    digits that ends the row, and the byte before the run must be a comma.
+    """
+    digits = heads[:, :-1] - ord("0")  # a byte below "0" wraps above 9
+    n_digits = np.argmin(digits[:, ::-1] <= 9, axis=1)  # 0 when every byte is a digit
+    if not (
+        n_digits.min() >= 1
+        and (heads[:, -1] == ord(",")).all()
+        and (heads[np.arange(len(heads)), _FRAME_DIGITS - 1 - n_digits] == ord(",")).all()
+    ):
+        return None
+    frames = np.zeros(len(heads), dtype=np.int64)
+    for j in range(_FRAME_DIGITS - n_digits.max(), _FRAME_DIGITS):
+        frames *= 10
+        frames += np.where(j >= _FRAME_DIGITS - n_digits, digits[:, j], 0)
+    return frames, n_digits
+
+
+def _same_bytes(buf: np.ndarray, starts, refs, lens) -> bool:
+    """Whether ``buf[s : s + n] == buf[r : r + n]`` for every (s, r, n)."""
+    step = max(1, _BLOCK_BYTES // max(1, int(lens.max())))
+    for r0 in range(0, len(lens), step):
+        block = lens[r0 : r0 + step]
+        shortest, longest = int(block.min()), int(block.max())
+        for n in [shortest] if shortest == longest else np.unique(block).tolist():
+            if n:
+                rows = np.flatnonzero(block == n) + r0
+                windows = sliding_window_view(buf, n)
+                if not np.array_equal(windows[starts[rows]], windows[refs[rows]]):
+                    return False
+    return True
 
 
 def _score_lines(body, first_line: int, path, hop: float, class_names) -> list[ScoreTrack]:
@@ -332,7 +450,11 @@ def _score_lines(body, first_line: int, path, hop: float, class_names) -> list[S
 
 
 def write_scores(tracks: Sequence[ScoreTrack], path) -> None:
-    """Write score tracks in the CSV layout read by ``read_scores``."""
+    """Write score tracks in the CSV layout read by ``read_scores``.
+
+    A clip id or class name holding a comma or a line break is an
+    ``InvalidParameterError``, raised before ``path`` is opened.
+    """
     if not tracks:
         raise InvalidParameterError("need at least one track")
     hop = tracks[0].hop_seconds
@@ -342,7 +464,9 @@ def write_scores(tracks: Sequence[ScoreTrack], path) -> None:
             raise InvalidParameterError(
                 "all tracks must share hop_seconds and class names"
             )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    _refuse_split("clip id", [tr.clip_id for tr in tracks], ",")
+    _refuse_split("class name", names, ",")
+    with atomic_open(path) as fh:
         fh.write(f"# hop_seconds={hop:.9g}\n")
         fh.write("clip_id,frame," + ",".join(names) + "\n")
         for tr in tracks:

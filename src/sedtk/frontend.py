@@ -20,7 +20,7 @@ import numpy as np
 from scipy.signal import firwin, get_window, resample_poly
 from scipy.sparse import csr_array
 
-from .core import FeatureMap
+from .core import FeatureMap, atomic_open
 from .errors import ConfigInvalidError, EmptyAudioError, ParseError
 
 # Slaney mel scale: linear below 1 kHz, logarithmic above.
@@ -341,5 +341,5 @@ def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
     body += b"data" + struct.pack("<I", len(payload)) + payload
     if len(payload) & 1:
         body += b"\x00"
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)

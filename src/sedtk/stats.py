@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, DomainTag, FeatureMap
+from .core import Batch, DomainTag, FeatureMap, atomic_open
 from .errors import InvalidParameterError
 
 
@@ -68,7 +68,7 @@ def export_stats(batch: Batch, which: str, path) -> int:
         raise InvalidParameterError(
             f"which must be 'frequency' or 'channel', got {which!r}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         for tag, st in zip(batch.tags, vectors):
             values = np.concatenate([st.mu, st.sigma])
             fh.write(DomainTag(tag).name + ",")

@@ -398,6 +398,49 @@ class TestPostprocessAndTune:
         assert float(onset) == pytest.approx(40 * 0.02, abs=0.02)
         assert float(offset) == pytest.approx(120 * 0.02, abs=0.02)
 
+    def test_postprocess_refuses_an_id_its_events_reader_would_split(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        rows = "".join(f"a\tb,{t},{0.9 if 40 <= t < 120 else 0.0:.6f}\n" for t in range(200))
+        scores.write_text("# hop_seconds=0.02\nclip_id,frame,dog\n" + rows)
+        out = tmp_path / "events.tsv"
+        code = run(["postprocess", "--scores", str(scores), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines()[-1] == (
+            "error: clip id 'a\\tb' holds '\\t' or a line break, "
+            "which would split its row when the file is read"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["tune-sebb", "evaluate"])
+    def test_out_file_is_replaced_only_when_written(self, tmp_path, capsys, monkeypatch, command):
+        scores = self._scores_fixture(tmp_path)
+        events, truth, durs = _perfect_fixture(tmp_path)
+        grid = tmp_path / "grid.txt"
+        grid.write_text("filter_len=5\n")
+        out = tmp_path / "report.txt"
+        out.write_text("old\n")
+        argv = {
+            "tune-sebb": ["tune-sebb", "--scores", str(scores), "--truth", str(truth),
+                          "--durations", str(durs), "--grid", str(grid)],
+            "evaluate": ["evaluate", "--psds", "--events", str(events), "--truth", str(truth),
+                         "--durations", str(durs)],
+        }[command] + ["--out", str(out)]
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: replace refused"
+        assert out.read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["scores.csv", "events.tsv", "truth.tsv", "durs.tsv", "grid.txt", "report.txt"]
+        )
+        monkeypatch.undo()
+        assert run(argv) == 0
+        assert out.read_text() == capsys.readouterr().out
+
     def test_postprocess_threshold_filters(self, tmp_path):
         scores = self._scores_fixture(tmp_path)
         out = tmp_path / "events.tsv"
@@ -569,6 +612,46 @@ class TestPostprocessAndTune:
         assert code == 1
         assert f"usage error: {grid}:2: unknown grid key 'window'" in captured.err
         assert str(missing) not in captured.err.splitlines()[-1]
+        assert captured.out == ""
+
+
+class TestMalformedEventsAndDurations:
+    """Each malformed event TSV or durations file is a data error at its line."""
+
+    @pytest.mark.parametrize(
+        "flag, text, line, message",
+        [
+            ("--events", "filename\tonset\toffset\tevent_label\na\t1.0\t2.0\n", 2,
+             "expected 4 tab-separated fields, got 3"),
+            ("--truth", "filename\tonset\toffset\tevent_label\na\t1\t2\tdog\textra\n", 2,
+             "expected 4 tab-separated fields, got 5"),
+            ("--events", "filename\tonset\toffset\tevent_label\na\t1.0\t2.0\tdog\na\tx\t2.0\tdog\n",
+             3, "bad onset: 'x'"),
+            ("--truth", "filename\tonset\toffset\tevent_label\na\t2.0\t2.0\tdog\n", 2,
+             "offset 2.0 must exceed onset 2.0"),
+            ("--events", "filename\tonset\toffset\tevent_label\na\t3.0\t1.0\tdog\n", 2,
+             "offset 1.0 must exceed onset 3.0"),
+            ("--truth", "filename\tonset\toffset\tevent_label\na\t-1.0\t2.0\tdog\n", 2,
+             "onset must be >= 0, got -1.0"),
+            ("--events", "a\t1.0\t2.0\tdog\n", 1,
+             "expected header 'filename\\tonset\\toffset\\tevent_label'"),
+            ("--durations", "a\t100\nb\t5\na\t100\n", 3, "key 'a' is already set at {path}:1"),
+            ("--durations", "# clips\na\tinf\n", 2, "duration must be finite and > 0, got inf"),
+            ("--durations", "a\tnan\n", 1, "duration must be finite and > 0, got nan"),
+        ],
+    )
+    def test_is_data_error_at_its_line(self, tmp_path, capsys, flag, text, line, message):
+        paths = dict(zip(("--events", "--truth", "--durations"), _perfect_fixture(tmp_path)))
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        paths[flag] = bad
+        code = run(["evaluate", "--psds"] + [str(part) for item in paths.items() for part in item])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines()[-1] == (
+            f"error: {bad}:{line}: " + message.format(path=bad)
+        )
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
 

@@ -1,6 +1,9 @@
 """TSV/CSV readers and writers, class mapping, line-numbered errors."""
 
-import warnings
+import os
+import re
+import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sedtk.core import DomainTag, FeatureMap, atomic_open, make_batch, write_fmt
 from sedtk.dataio import (
+    _fixed_decimals,
     _read_lines,
+    _score_header,
+    _score_lines,
     _score_table,
     apply_class_map,
     read_annotations,
@@ -27,8 +34,10 @@ from sedtk.errors import (
     ParseError,
     ScoreOutOfRangeError,
 )
+from sedtk.frontend import AudioClip, write_wav
 from sedtk.metrics import Event
 from sedtk.sebb import ScoreTrack
+from sedtk.stats import export_stats
 
 
 class TestAnnotations:
@@ -304,8 +313,7 @@ class TestScores:
         np.testing.assert_array_equal(tracks[0].scores, [[0.1, 0.2]])
         np.testing.assert_array_equal(tracks[1].scores, [[0.3]])
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    @pytest.mark.parametrize("frame", ["3.0", "2.9"])
+    @pytest.mark.parametrize("frame", ["3.0", "2.9", "1.9"])
     def test_frame_written_as_float_is_bad_with_warnings_ignored(self, tmp_path, frame):
         path = tmp_path / "s.csv"
         path.write_text(
@@ -316,24 +324,59 @@ class TestScores:
             read_scores(path)
         assert err.value.line == 6
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_frame_truncated_by_numpy_with_a_warning_is_bad(self, tmp_path, monkeypatch):
-        # numpy 1.23-2.x loadtxt parses an int64 field "2.9" as 2 and only
-        # warns; the frame must still be rejected as int() rejects it.
-        loadtxt = np.loadtxt
-
-        def truncating_loadtxt(rows, **kwargs):
-            warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
-            fields = [row.split(",") for row in rows]
-            return loadtxt([",".join([c, str(int(float(f))), *rest]) for c, f, *rest in fields],
-                           **kwargs)
-
-        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    @pytest.mark.parametrize(
+        "clip_ids",
+        [["a", "b"], ["x" * 64, "y" * 200], ["é" * 40, "日本" * 30, "£"], ["", " a ", "#b"]],
+    )
+    @pytest.mark.parametrize("n_classes, n_frames", [(1, 3), (3, 120), (10, 1001)])
+    def test_written_scores_stay_on_the_byte_path(self, tmp_path, clip_ids, n_classes, n_frames):
+        rng = np.random.default_rng(n_frames)
+        names = tuple(f"c{k}" for k in range(n_classes))
+        tracks = [
+            ScoreTrack(rng.uniform(size=(n_classes, n_frames)), 0.02, names, clip)
+            for clip in clip_ids
+        ]
         path = tmp_path / "s.csv"
-        path.write_text("# hop_seconds=0.5\nclip_id,frame,dog\na,0,0.1\na,1.9,0.2\n")
-        with pytest.raises(ParseError, match="bad frame index '1.9'") as err:
-            read_scores(path)
-        assert err.value.line == 4
+        write_scores(tracks, path)
+        fast = _score_table(path)
+        assert fast is not None  # a silent fall to the line reader would pass the rest
+        assert [t.clip_id for t in fast] == clip_ids
+        assert _outcome(_score_table, path) == _outcome(_line_reader, path)
+
+    @pytest.mark.parametrize("places", range(1, 16))
+    def test_every_fixed_decimal_width_stays_on_the_byte_path(self, tmp_path, places):
+        rng = np.random.default_rng(places)
+        values = np.concatenate([[0.0, 1.0], rng.uniform(size=58)]).reshape(20, 3)
+        rows = [f"a,{t}," + ",".join(f"{v:.{places}f}" for v in row) for t, row in enumerate(values)]
+        path = tmp_path / "s.csv"
+        path.write_text("# hop_seconds=0.5\nclip_id,frame,x,y,z\n" + "\n".join(rows) + "\n")
+        fast = _score_table(path)
+        assert fast is not None
+        want = [[float(f"{v:.{places}f}") for v in row] for row in values]
+        assert np.array_equal(fast[0].scores.view(np.int64), np.array(want).T.view(np.int64))
+        assert _outcome(_score_table, path) == _outcome(_line_reader, path)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["a,0,0.10", "a,1,0.2"],  # one width per file
+            ["a,0,0.1e0"], ["a,0,+0.1"], ["a,0, 0.1"], ["a,0,.1"], ["a,0,1."], ["a,0,0.5 "],
+            ["a, 0,0.1"], ["a,+0,0.1"], ["a,0,0.1", "  "], ["a,0,0.1\r"], ["a\x85,0,0.1"],
+            ["a,0,0.1234567890123456"],  # 16 places
+            ["a,0,0.1", "a,2,0.1"], ["a,0,0.1", "b,0,0.1", "a,1,0.1"], ["a,0,1.5"],
+        ],
+    )
+    def test_files_off_the_fixed_layout_go_to_the_line_reader(self, tmp_path, lines):
+        path = tmp_path / "s.csv"
+        path.write_text("# hop_seconds=0.5\nclip_id,frame,dog\n" + "\n".join(lines) + "\n")
+        assert _score_table(path) is None
+        assert _outcome(read_scores, path) == _outcome(_read_scores_per_line, path)
+
+    def test_file_without_a_final_lf_goes_to_the_line_reader(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# hop_seconds=0.5\nclip_id,frame,dog\na,0,0.1")
+        assert _score_table(path) is None
+        np.testing.assert_array_equal(read_scores(path)[0].scores, [[0.1]])
 
 
 def _float(text, what, path, line_no):
@@ -415,11 +458,12 @@ _MUTATIONS = [
 def _score_csv(draw):
     """A valid score CSV as lines, then at most one mutation of one body row."""
     n_classes = draw(st.integers(1, 3))
-    fmt = draw(st.sampled_from(["{:.6f}", "{!r}"]))
+    fmt = draw(st.sampled_from(["{!r}"] + [f"{{:.{n}f}}" for n in range(1, 16)]))
+    value = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
     body = []
     for c in range(draw(st.integers(1, 4))):
         for t in range(draw(st.integers(1, 5))):
-            values = draw(st.lists(st.floats(0.0, 1.0), min_size=n_classes, max_size=n_classes))
+            values = draw(st.lists(value, min_size=n_classes, max_size=n_classes))
             body.append([f"clip{c}", str(t)] + [fmt.format(v) for v in values])
     mutation = draw(st.none() | st.sampled_from(_MUTATIONS))
     row = body[draw(st.integers(0, len(body) - 1))]
@@ -455,11 +499,19 @@ def _score_csv(draw):
 
 
 def _outcome(reader, path):
+    """The error, or every track's id, classes, hop and score bits."""
     try:
         tracks = reader(path)
     except ParseError as exc:
         return type(exc), str(exc), exc.line
-    return [(t.clip_id, t.class_names, t.hop_seconds, t.scores) for t in tracks]
+    return [(t.clip_id, t.class_names, t.hop_seconds, t.scores.shape, t.scores.tobytes())
+            for t in tracks]
+
+
+def _line_reader(path):
+    lines = iter(_read_lines(path))
+    hop, class_names, n_read = _score_header(lines, path)
+    return _score_lines(lines, n_read + 1, path, hop, class_names)
 
 
 @pytest.fixture(scope="module")
@@ -487,15 +539,32 @@ def csv_path(tmp_path_factory):
 @example(["# hop_seconds=1", "clip_id,frame,c0", "é,0,0.1", "é,1,0.2", "ß,0,0.3"])
 @example(["# hop_seconds=1\r", "clip_id,frame,c0\r", "a,0,0.1\r", "a,1,0.2\r", "b,0,0.3\r"])
 @example(["# hop_seconds=1", "clip_id,frame,c0", "a,0,0.1", "  ", "\t", "a,1,0.2", "\xa0"])
+# Rows the byte pass must not misread: an id that is a prefix of its block's
+# id, a frame after a byte other than a comma, and a header line that
+# str.splitlines splits again.
+@example(["# hop_seconds=1", "clip_id,frame,c0", "ab,0,0.1", "a,1,0.2"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "a;0,0.1"])
+@example(["# hop_seconds=1", "clip_id,frame,c0\x1cc1", "a,0,0.1"])
+@example(["# hop_seconds=1", "clip_id,frame,c0\u2029c1", "a,0,0.1"])
 def test_read_scores_matches_per_line_reader(csv_path, lines):
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    fast = _outcome(read_scores, csv_path)
-    slow = _outcome(_read_scores_per_line, csv_path)
-    if isinstance(fast, tuple) or isinstance(slow, tuple):
-        assert fast == slow
-    else:
-        assert [t[:3] for t in fast] == [t[:3] for t in slow]
-        assert all(np.array_equal(f[3], s[3]) for f, s in zip(fast, slow))
+    assert _outcome(read_scores, csv_path) == _outcome(_read_scores_per_line, csv_path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 15).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, 2 * 10**n - 1), min_size=1, max_size=4)
+    ))
+)
+@example((15, [2 * 10**15 - 1, 10**15, 1, 0]))
+@example((1, [19, 10, 0]))
+def test_fixed_decimal_is_the_float_of_its_text(case):
+    places, mantissas = case
+    texts = [f"{m // 10**places}.{m % 10**places:0{places}d}" for m in mantissas]
+    tails = np.frombuffer((",".join(texts) + "\n").encode(), dtype=np.uint8)[None, :]
+    got = _fixed_decimals(tails, len(texts), 1)
+    assert np.array_equal(got.view(np.int64), np.array([[float(t) for t in texts]]).view(np.int64))
 
 
 def _write_scores_per_value(tracks, path):
@@ -551,3 +620,140 @@ def test_write_scores_matches_per_value_writer(tmp_path_factory, tracks):
         assert got.hop_seconds == want.hop_seconds
         rounded = [[float(f"{v:.6f}") for v in row] for row in want.scores]
         np.testing.assert_array_equal(got.scores, rounded)
+
+
+class TestWritersRefuseSplitFields:
+    """A writer refuses a field its reader would split, before it opens the file."""
+
+    @pytest.mark.parametrize(
+        "clip, name, message",
+        [
+            ("a,b", "dog", "clip id 'a,b' holds ','"),
+            ("a\nb", "dog", "clip id 'a\\nb' holds ','"),
+            ("a\r", "dog", "clip id 'a\\r' holds ','"),
+            ("a\u2028", "dog", "clip id 'a\\u2028' holds ','"),
+            ("a", "d,og", "class name 'd,og' holds ','"),
+            ("a", "dog\x0c", "class name 'dog\\x0c' holds ','"),
+        ],
+    )
+    def test_write_scores(self, tmp_path, clip, name, message):
+        path = tmp_path / "s.csv"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            write_scores([ScoreTrack(np.zeros((1, 2)), 0.5, (name,), clip)], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "clip, name, message",
+        [
+            ("a\tb", "dog", "clip id 'a\\tb' holds '\\t'"),
+            ("a\n", "dog", "clip id 'a\\n' holds '\\t'"),
+            ("a\x1e", "dog", "clip id 'a\\x1e' holds '\\t'"),
+            ("a", "d\tog", "class 'd\\tog' holds '\\t'"),
+            ("a", "dog\x85", "class 'dog\\x85' holds '\\t'"),
+        ],
+    )
+    def test_write_events(self, tmp_path, clip, name, message):
+        path = tmp_path / "e.tsv"
+        events = [Event("b", "cat", 0.0, 1.0), Event(clip, name, 1.0, 2.0)]
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            write_events(events, path)
+        assert not path.exists()
+
+    def test_a_comma_is_a_plain_character_in_an_event_tsv(self, tmp_path):
+        path = tmp_path / "e.tsv"
+        write_events([Event("a,b", "dog, big", 0.0, 1.0)], path)
+        assert read_annotations(path).events == [Event("a,b", "dog, big", 0.0, 1.0)]
+
+
+def _tiny_batch():
+    return make_batch([FeatureMap(np.ones((1, 2, 3), np.float32))], [DomainTag.DESED])
+
+
+_WRITERS = {
+    "write_events": lambda path: write_events([Event("a", "dog", 0.0, 1.0)], path),
+    "write_scores": lambda path: write_scores(
+        [ScoreTrack(np.full((1, 2), 0.5), 0.5, ("dog",), "a")], path
+    ),
+    "write_durations": lambda path: write_durations({"a": 1.0}, path),
+    "write_fmt": lambda path: write_fmt(_tiny_batch(), path),
+    "export_stats": lambda path: export_stats(_tiny_batch(), "frequency", path),
+    "write_wav": lambda path: write_wav(path, AudioClip(np.zeros(8), 16000), "pcm16"),
+}
+
+
+class TestAtomicWrites:
+    def test_error_mid_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write("new, half written")
+                raise RuntimeError
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_writer_failing_mid_write_keeps_the_old_file(self, tmp_path):
+        class Unformattable(float):
+            def __format__(self, spec):
+                raise RuntimeError("cannot format")
+
+        path = tmp_path / "e.tsv"
+        write_events([Event("a", "dog", 0.0, 1.0)], path)
+        old = path.read_bytes()
+        events = [Event("a", "dog", 0.0, 1.0), Event("b", "dog", Unformattable(1.0), 2.0)]
+        with pytest.raises(RuntimeError, match="cannot format"):
+            write_events(events, path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["e.tsv"]
+
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_every_writer_replaces_its_file_only_when_done(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out"
+        _WRITERS[writer](path)
+        written = path.read_bytes()
+        path.write_bytes(b"old")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            _WRITERS[writer](path)
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out"]
+        monkeypatch.undo()
+        _WRITERS[writer](path)
+        assert path.read_bytes() == written
+
+    def test_a_replaced_file_keeps_its_permission_bits(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("old\n")
+        path.chmod(0o600)
+        write_durations({"a": 1.0}, path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert path.read_text() == "a\t1.000000\n"
+
+    def test_a_symlink_keeps_pointing_at_its_target(self, tmp_path):
+        target = tmp_path / "real.tsv"
+        target.write_text("old\n")
+        link = tmp_path / "link.tsv"
+        link.symlink_to(target)
+        write_durations({"a": 1.0}, link)
+        assert link.is_symlink()
+        assert target.read_text() == "a\t1.000000\n"
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_durations({"a": 1.0}, fifo)
+        reader.join(timeout=10)
+        assert got == [b"a\t1.000000\n"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_missing_directory_error_names_the_path_asked_for(self, tmp_path):
+        path = tmp_path / "missing" / "d.tsv"
+        with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
+            write_durations({"a": 1.0}, path)
