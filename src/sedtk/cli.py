@@ -76,6 +76,19 @@ def _resolve(args, cfg: dict[str, tuple[str, str]], name: str, default, cast):
     return default
 
 
+def _at(args, cfg: dict[str, tuple[str, str]], name: str) -> str:
+    """``path:line: `` of the ``--config`` line that set option ``name``, or ``""``."""
+    return f"{cfg[name][1]}: " if getattr(args, name, None) is None and name in cfg else ""
+
+
+def _check(where: str, build, *args, **kwargs) -> None:
+    """Call ``build``; a value it rejects is a UsageError prefixed by ``where``."""
+    try:
+        build(*args, **kwargs)
+    except (ConfigInvalidError, InvalidParameterError) as exc:
+        raise UsageError(f"{where}{exc}") from None
+
+
 def _log_config(name: str, resolved: dict) -> None:
     pairs = " ".join(f"{k}={v}" for k, v in resolved.items())
     print(f"config: subcommand={name} {pairs}", file=sys.stderr)
@@ -222,15 +235,18 @@ _CSEBB_DEFAULTS = {
 
 
 def _csebb_config(args, cfg) -> sebb.CsebbConfig:
-    return sebb.CsebbConfig(**{
-        key: _resolve(args, cfg, key, default, type(default))
-        for key, default in _CSEBB_DEFAULTS.items()
-    })
+    fields = {}
+    for key, default in _CSEBB_DEFAULTS.items():
+        fields[key] = _resolve(args, cfg, key, default, type(default))
+        _check(_at(args, cfg, key), sebb.CsebbConfig, **{key: fields[key]})
+    return sebb.CsebbConfig(**fields)
 
 
 def cmd_postprocess(args, cfg) -> int:
     csebb = _csebb_config(args, cfg)
     threshold = _resolve(args, cfg, "threshold", 0.5, float)
+    # threshold_events checks every threshold before it looks at a box.
+    _check(_at(args, cfg, "threshold"), sebb.threshold_events, [], {}, default=threshold)
     _log_config("postprocess", {
         "scores": args.scores, "out": args.out,
         **{key: getattr(csebb, key) for key in _CSEBB_DEFAULTS},
@@ -245,10 +261,7 @@ def cmd_postprocess(args, cfg) -> int:
         for cls, (value, i) in pairs.items():
             where = f"{args.thresholds_file}:{i}"
             thresholds[cls] = _cast(float, cls, value, where)
-            if not 0.0 <= thresholds[cls] <= 1.0:
-                raise UsageError(
-                    f"{where}: threshold for {cls!r} must be in [0,1], got {value!r}"
-                )
+            _check(f"{where}: ", sebb.threshold_events, [], {cls: thresholds[cls]})
     tracks = dataio.read_scores(args.scores)
     events = []
     for tr in tracks:
@@ -274,10 +287,7 @@ def _parse_grid(path) -> dict[str, list]:
         if not grid[key]:
             raise UsageError(f"{where}: grid axis {key} needs at least one value")
         for value in grid[key]:
-            try:
-                sebb.CsebbConfig(**{key: value})
-            except (ConfigInvalidError, InvalidParameterError) as exc:
-                raise UsageError(f"{where}: {exc}") from None
+            _check(f"{where}: ", sebb.CsebbConfig, **{key: value})
     return grid
 
 

@@ -34,6 +34,8 @@ _MEL_LOG_MEL = _MEL_LOG_HZ / _MEL_HZ_PER_STEP
 _MEL_LOG_STEP = math.log(6.4) / 27.0
 
 _BLOCK_BYTES = 1 << 20  # of float64 windowed frames per log_mel block: 64 frames at n_fft=2048
+# The highest rate resample_to_mono_16k takes; its FIR has up to 20 taps per input Hz.
+_MAX_SAMPLE_RATE = 768_000
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,6 @@ class AudioClip:
         if not self.sample_rate > 0:
             raise ConfigInvalidError(f"sample_rate must be > 0, got {self.sample_rate}")
         object.__setattr__(self, "samples", arr)
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.shape[0] / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -182,6 +180,8 @@ def _resample_filter(up: int, down: int) -> np.ndarray:
 
 def resample_to_mono_16k(clip: AudioClip) -> AudioClip:
     """Average channels to mono, then band-limited polyphase resample to 16 kHz."""
+    if clip.sample_rate > _MAX_SAMPLE_RATE:
+        raise ConfigInvalidError(f"sample_rate {clip.sample_rate} Hz is above {_MAX_SAMPLE_RATE} Hz")
     if clip.samples.shape[0] == 0:
         raise EmptyAudioError("clip has zero samples")
     mono = clip.samples
@@ -251,34 +251,39 @@ _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
+# Each encoding's format tag and bits per sample. A PCM sample is a signed
+# integer of that many bits, scaled by 2**(bits - 1).
+_ENCODINGS = {
+    "float32": (_WAVE_FORMAT_IEEE_FLOAT, 32),
+    "pcm16": (_WAVE_FORMAT_PCM, 16),
+    "pcm24": (_WAVE_FORMAT_PCM, 24),
+    "pcm32": (_WAVE_FORMAT_PCM, 32),
+}
+
 
 def read_wav(path) -> AudioClip:
     """Read a RIFF/WAVE file into float samples in [-1, 1].
 
     Supports PCM 16/24/32-bit and IEEE float32, little-endian, including
-    the extensible-format wrapper. Multi-channel data comes back as
-    (n, channels); average to mono via :func:`resample_to_mono_16k`.
+    the extensible-format wrapper. Bytes after the last whole sample frame
+    are dropped. Multi-channel data comes back as (n, channels); average to
+    mono via :func:`resample_to_mono_16k`.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise ParseError("not a RIFF/WAVE file", path=path)
     pos = 12
-    fmt = None
-    data = None
+    chunks = {}
     while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
-        (size,) = struct.unpack("<I", raw[pos + 4 : pos + 8])
-        body = raw[pos + 8 : pos + 8 + size]
+        chunk_id, size = struct.unpack("<4sI", raw[pos : pos + 8])
+        body = chunks[chunk_id] = raw[pos + 8 : pos + 8 + size]
         if len(body) != size:
             raise ParseError(
                 f"chunk {chunk_id!r} claims {size} bytes, file has {len(body)}",
                 path=path,
             )
-        if chunk_id == b"fmt ":
-            fmt = body
-        elif chunk_id == b"data":
-            data = body
         pos += 8 + size + (size & 1)  # chunks are word-aligned
+    fmt, data = chunks.get(b"fmt "), chunks.get(b"data")
     if fmt is None or data is None:
         raise ParseError("missing fmt or data chunk", path=path)
     if len(fmt) < 16:
@@ -290,25 +295,19 @@ def read_wav(path) -> AudioClip:
         (tag,) = struct.unpack("<H", fmt[24:26])
     if n_channels < 1:
         raise ParseError("zero channels", path=path)
+    if (tag, bits) not in _ENCODINGS.values():
+        raise ParseError(f"unsupported encoding: format tag {tag}, {bits}-bit", path=path)
 
-    if tag == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float32)
-    elif tag == _WAVE_FORMAT_PCM and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float32) / 32768.0
-    elif tag == _WAVE_FORMAT_PCM and bits == 32:
-        samples = np.frombuffer(data, dtype="<i4").astype(np.float32) / 2147483648.0
-    elif tag == _WAVE_FORMAT_PCM and bits == 24:
-        b = np.frombuffer(data[: len(data) - len(data) % 3], dtype=np.uint8)
-        b = b.reshape(-1, 3).astype(np.uint32)
-        vals = (b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)).astype(np.int32)
-        vals = (vals << 8) >> 8  # sign-extend from 24 bits
-        samples = vals.astype(np.float32) / 8388608.0
+    n = len(data) // (n_channels * bits // 8) * n_channels
+    if tag == _WAVE_FORMAT_IEEE_FLOAT:
+        samples = np.frombuffer(data, dtype="<f4", count=n)
     else:
-        raise ParseError(
-            f"unsupported encoding: format tag {tag}, {bits}-bit", path=path
-        )
-    n = samples.shape[0] - samples.shape[0] % n_channels
-    samples = samples[:n]
+        if bits == 24:
+            lo_hi = np.frombuffer(data, dtype=[("lo", "u1"), ("hi", "<i2")], count=n)
+            ints = lo_hi["hi"].astype(np.int32) * 256 + lo_hi["lo"]
+        else:
+            ints = np.frombuffer(data, dtype=f"<i{bits // 8}", count=n)
+        samples = ints.astype(np.float32) / 2.0 ** (bits - 1)
     if n_channels > 1:
         samples = samples.reshape(-1, n_channels)
     return AudioClip(samples=samples, sample_rate=int(rate))
@@ -316,41 +315,27 @@ def read_wav(path) -> AudioClip:
 
 def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
     """Write a WAV file; encodings: float32, pcm16, pcm24, pcm32."""
+    if encoding not in _ENCODINGS:
+        raise ConfigInvalidError(f"unknown encoding {encoding!r}")
+    tag, bits = _ENCODINGS[encoding]
     samples = clip.samples
     n_channels = 1 if samples.ndim == 1 else samples.shape[1]
     flat = samples.reshape(-1)
-    if encoding == "float32":
-        tag, bits = _WAVE_FORMAT_IEEE_FLOAT, 32
+    if tag == _WAVE_FORMAT_IEEE_FLOAT:
         payload = flat.astype("<f4").tobytes()
-    elif encoding == "pcm16":
-        tag, bits = _WAVE_FORMAT_PCM, 16
-        payload = np.clip(np.round(flat * 32768.0), -32768, 32767).astype("<i2").tobytes()
-    elif encoding == "pcm32":
-        tag, bits = _WAVE_FORMAT_PCM, 32
-        payload = (
-            np.clip(np.round(flat.astype(np.float64) * 2147483648.0), -(2**31), 2**31 - 1)
-            .astype("<i4")
-            .tobytes()
-        )
-    elif encoding == "pcm24":
-        tag, bits = _WAVE_FORMAT_PCM, 24
-        vals = np.clip(np.round(flat * 8388608.0), -(2**23), 2**23 - 1).astype(np.int32)
-        u = vals.astype(np.uint32) & 0xFFFFFF
-        b = np.empty((u.shape[0], 3), dtype=np.uint8)
-        b[:, 0] = u & 0xFF
-        b[:, 1] = (u >> 8) & 0xFF
-        b[:, 2] = (u >> 16) & 0xFF
-        payload = b.tobytes()
     else:
-        raise ConfigInvalidError(f"unknown encoding {encoding!r}")
+        full = 2.0 ** (bits - 1)
+        ints = np.multiply(flat, full, dtype=np.float64)
+        np.clip(np.round(ints, out=ints), -full, full - 1, out=ints)
+        # Each little-endian int32 keeps its low bits // 8 bytes.
+        low = np.dtype({"names": ["low"], "formats": [f"V{bits // 8}"], "itemsize": 4})
+        payload = ints.astype("<i4").view(low)["low"].tobytes()
     block = n_channels * bits // 8
-    fmt = struct.pack(
-        "<HHIIHH", tag, n_channels, clip.sample_rate,
-        clip.sample_rate * block, block, bits,
+    pad = b"\x00" * (len(payload) & 1)  # chunks are word-aligned
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload) + len(pad), b"WAVE",
+        b"fmt ", 16, tag, n_channels, clip.sample_rate, clip.sample_rate * block, block, bits,
+        b"data", len(payload),
     )
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
-    if len(payload) & 1:
-        body += b"\x00"
     with atomic_open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+        fh.writelines((header, payload, pad))

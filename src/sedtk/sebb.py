@@ -43,7 +43,7 @@ from .metrics import (
 
 @dataclass(frozen=True)
 class ScoreTrack:
-    """Frame-level class posteriors for one clip: (K, T) scores in [0, 1]."""
+    """Frame-level class posteriors for one clip: (K, T) scores in [0, 1]; copies its input."""
 
     scores: np.ndarray
     hop_seconds: float
@@ -52,6 +52,7 @@ class ScoreTrack:
 
     def __post_init__(self):
         arr = np.asarray(self.scores, dtype=np.float64)
+        arr = arr.copy() if arr is self.scores else arr  # the caller's array: detach the track
         if arr.ndim != 2:
             raise ConfigInvalidError(f"scores must be (K, T), got ndim={arr.ndim}")
         if arr.shape[0] != len(self.class_names):
@@ -317,9 +318,10 @@ def threshold_events(
     Raises UnknownClassError when a candidate's class has no threshold and
     no default was given. Output is sorted by (onset, class).
     """
-    for cls, thr in thresholds.items():
-        if not 0.0 <= thr <= 1.0:
-            raise InvalidParameterError(f"threshold for {cls!r} must be in [0,1]")
+    named = {f"threshold for {cls!r}": thr for cls, thr in thresholds.items()}
+    for name, thr in {**named, "default threshold": default}.items():
+        if thr is not None and not 0.0 <= thr <= 1.0:
+            raise InvalidParameterError(f"{name} must be in [0,1], got {thr}")
     kept = []
     for s in sebbs:
         thr = thresholds.get(s.class_name, default)

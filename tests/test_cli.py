@@ -402,19 +402,34 @@ class TestFeaturesAndStats:
         assert not out.exists()
 
     @staticmethod
-    def _rate_zero(path):
-        write_wav(path, AudioClip(np.zeros(4000, np.float32), 16000), "pcm16")
-        raw = bytearray(path.read_bytes())
-        raw[24:28] = bytes(4)  # the fmt chunk's sample rate
-        path.write_bytes(bytes(raw))
+    def _edited(*splices):
+        """A maker of a pcm16 WAV with ``raw[start:stop] = new`` applied for each splice.
+
+        The fmt chunk's size is at bytes 16:20, its channels at 22:24, its
+        rate at 24:28 and its bits at 34:36; the data chunk starts at 36.
+        """
+        def make(path):
+            write_wav(path, AudioClip(np.zeros(4000, np.float32), 16000), "pcm16")
+            raw = bytearray(path.read_bytes())
+            for start, stop, new in splices:
+                raw[start:stop] = new
+            path.write_bytes(bytes(raw))
+        return make
 
     @pytest.mark.parametrize("make_wav,pad,message", [
         (lambda p: write_wav(p, AudioClip(np.zeros(0, np.float32), 16000), "pcm16"),
          "1", "clip has zero samples"),
-        (_rate_zero, "1", "sample_rate must be > 0, got 0"),
+        (_edited((24, 28, bytes(4))), "1", "sample_rate must be > 0, got 0"),
         (lambda p: write_wav(p, AudioClip(np.zeros(1000, np.float32), 16000), "pcm16"),
          "0", "padded clip (1000 samples) shorter than n_fft=2048"),
-    ], ids=["zero-samples", "rate-zero", "shorter-than-n-fft"])
+        (_edited((34, 36, bytes(2))), "1", "unsupported encoding: format tag 1, 0-bit"),
+        (_edited((22, 24, bytes(2))), "1", "zero channels"),
+        (_edited((34, 36, b""), (16, 20, b"\x0e\x00\x00\x00")), "1", "fmt chunk too short"),
+        (_edited((36, None, b"")), "1", "missing fmt or data chunk"),
+        (_edited((24, 28, b"\xff" * 4)), "1",
+         "sample_rate 4294967295 Hz is above 768000 Hz"),
+    ], ids=["zero-samples", "rate-zero", "shorter-than-n-fft", "bits-zero", "zero-channels",
+            "fmt-14-bytes", "no-data-chunk", "rate-4294967295"])
     def test_bad_clip_is_data_error_naming_the_wav(self, tmp_path, capsys, make_wav, pad, message):
         wav_dir = self._wav_dir(tmp_path, [1.0])
         bad = wav_dir / "clip9.wav"
@@ -548,6 +563,10 @@ class TestPostprocessAndTune:
             ("postprocess", "--config", "# tuned\nfilter_len=abc\n", 2),
             ("postprocess", "--config", "filter_len=5\nthreshold=high\n", 2),
             ("postprocess", "--config", "filter_len 5\n", 1),
+            ("postprocess", "--config", "# tuned\nfilter_len=4\n", 2),
+            ("postprocess", "--config", "boundary_threshold=nan\n", 1),
+            ("postprocess", "--config", "threshold=nan\n", 1),
+            ("postprocess", "--config", "filter_len=5\nthreshold=2\n", 2),
             ("postprocess", "--thresholds-file", "Speech\tabc\n", 1),
             ("postprocess", "--thresholds-file", "# per class\nSpeech 0.3\n", 2),
             ("postprocess", "--thresholds-file", "dog\t1.5\n", 1),
@@ -587,6 +606,22 @@ class TestPostprocessAndTune:
         assert f"usage error: {values}:{line}:" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--threshold", "2", "default threshold must be in [0,1], got 2.0"),
+        ("--threshold", "nan", "default threshold must be in [0,1], got nan"),
+        ("--filter-len", "4", "filter_len must be odd and >= 3, got 4"),
+        ("--merge-rel", "0", "merge_threshold_rel must be > 0, got 0.0"),
+    ])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        scores = self._scores_fixture(tmp_path)
+        out = tmp_path / "ev.tsv"
+        code = run(["postprocess", "--scores", str(scores), "--out", str(out), flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"usage error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "bad_row",

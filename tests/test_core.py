@@ -22,6 +22,7 @@ from sedtk.errors import (
 )
 from sedtk.frontend import AudioClip, MelConfig, log_mel
 from sedtk.norm import AdaResNormParams, ada_res_norm, freq_in
+from sedtk.sebb import ScoreTrack
 
 # First Beta(0.6, 0.6) draw for seed 42. Distributional correctness of the
 # sampler is established by the KS test below against scipy's analytic CDF;
@@ -97,6 +98,16 @@ class TestBatch:
         assert fmap.data[0, 0, 0] == 0.0
         assert arr.flags.writeable
         assert not fmap.data.flags.writeable
+
+    def test_score_track_copies_writeable_input(self):
+        arr = np.zeros((1, 3))
+        view = arr[:]  # taken before the track, written after its [0, 1] check
+        track = ScoreTrack(arr, 0.5, ("dog",), "a")
+        assert not np.shares_memory(track.scores, arr)
+        view[0, 0] = 5.0
+        assert track.scores[0, 0] == 0.0
+        assert arr.flags.writeable
+        assert not track.scores.flags.writeable
 
     def test_feature_map_copies_read_only_view(self):
         base = np.zeros((1, 2, 3), np.float32)

@@ -1,10 +1,13 @@
 """WAV ingestion, resampling, and log-mel extraction."""
 
 import dataclasses
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.signal import get_window, resample_poly
 
 from sedtk.errors import ConfigInvalidError, EmptyAudioError, ParseError
@@ -58,7 +61,22 @@ class TestResample:
         with pytest.raises(EmptyAudioError):
             resample_to_mono_16k(AudioClip(np.zeros(0, np.float32), SR))
 
-    @pytest.mark.parametrize("rate", [8000, 11025, 22050, 32000, 44100, 48000])
+    def test_rate_above_limit_is_refused_before_any_filter(self):
+        clip = AudioClip(np.zeros(100, np.float32), 2**32 - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigInvalidError, match="4294967295 Hz is above 768000 Hz"):
+                resample_to_mono_16k(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"refusing the rate peaked at {peak / 2**20:.1f} MiB"
+
+    # Every standard rate from 8 kHz to 384 kHz, and the 768 kHz limit itself.
+    @pytest.mark.parametrize("rate", [
+        8000, 11025, 22050, 32000, 44100, 48000, 88200, 96000,
+        176400, 192000, 352800, 384000, 768000,
+    ])
     def test_cached_filter_equals_resample_poly_default(self, rate):
         samples = np.random.default_rng(rate).uniform(-1, 1, rate // 4).astype(np.float32)
         out = resample_to_mono_16k(AudioClip(samples, rate))
@@ -294,3 +312,131 @@ class TestWavIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(ParseError):
             read_wav(path)
+
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16", "pcm24", "pcm32"])
+    def test_partial_trailing_frame_is_dropped(self, tmp_path, encoding, n_channels):
+        wave = np.linspace(-0.9, 0.9, 11 * n_channels, dtype=np.float32)
+        path = tmp_path / "x.wav"
+        write_wav(path, AudioClip(wave.reshape(11, n_channels).squeeze(), SR), encoding)
+        raw = path.read_bytes()
+        whole = read_wav(path).samples
+        (block,) = struct.unpack("<H", raw[32:34])
+        for cut in range(1, block):  # the data chunk ends partway through the 11th frame
+            size = 10 * block + cut
+            path.write_bytes(raw[:40] + struct.pack("<I", size) + raw[44 : 44 + size])
+            np.testing.assert_array_equal(read_wav(path).samples, whole[:10])
+
+
+# The four-branch codec the encoding table replaced, kept as the reference the
+# table's reads and writes must match bit for bit.
+
+def _four_branch_wav(samples: np.ndarray, rate: int, encoding: str) -> tuple[bytes, bytes]:
+    """The whole file and its sample payload."""
+    n_channels = 1 if samples.ndim == 1 else samples.shape[1]
+    flat = samples.reshape(-1)
+    if encoding == "float32":
+        tag, bits = 3, 32
+        payload = flat.astype("<f4").tobytes()
+    elif encoding == "pcm16":
+        tag, bits = 1, 16
+        payload = np.clip(np.round(flat * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    elif encoding == "pcm32":
+        tag, bits = 1, 32
+        payload = (
+            np.clip(np.round(flat.astype(np.float64) * 2147483648.0), -(2**31), 2**31 - 1)
+            .astype("<i4")
+            .tobytes()
+        )
+    else:
+        tag, bits = 1, 24
+        vals = np.clip(np.round(flat * 8388608.0), -(2**23), 2**23 - 1).astype(np.int32)
+        u = vals.astype(np.uint32) & 0xFFFFFF
+        b = np.empty((u.shape[0], 3), dtype=np.uint8)
+        b[:, 0] = u & 0xFF
+        b[:, 1] = (u >> 8) & 0xFF
+        b[:, 2] = (u >> 16) & 0xFF
+        payload = b.tobytes()
+    block = n_channels * bits // 8
+    fmt = struct.pack("<HHIIHH", tag, n_channels, rate, rate * block, block, bits)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    if len(payload) & 1:
+        body += b"\x00"
+    return b"RIFF" + struct.pack("<I", len(body)) + body, payload
+
+
+def _four_branch_decode(data: bytes, encoding: str, n_channels: int) -> np.ndarray:
+    if encoding == "float32":
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float32)
+    elif encoding == "pcm16":
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float32) / 32768.0
+    elif encoding == "pcm32":
+        samples = np.frombuffer(data, dtype="<i4").astype(np.float32) / 2147483648.0
+    else:
+        b = np.frombuffer(data[: len(data) - len(data) % 3], dtype=np.uint8)
+        b = b.reshape(-1, 3).astype(np.uint32)
+        vals = (b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)).astype(np.int32)
+        vals = (vals << 8) >> 8
+        samples = vals.astype(np.float32) / 8388608.0
+    samples = samples[: samples.shape[0] - samples.shape[0] % n_channels]
+    return samples.reshape(-1, n_channels) if n_channels > 1 else samples
+
+
+_BITS = {"float32": 32, "pcm16": 16, "pcm24": 24, "pcm32": 32}
+
+
+@st.composite
+def _wav_clip(draw):
+    """An encoding and a clip with values at ±1, beyond it, -0.0 and k / 2**(bits-1) edges."""
+    encoding = draw(st.sampled_from(sorted(_BITS)))
+    full = 2 ** (_BITS[encoding] - 1)
+    value = st.one_of(
+        st.sampled_from([1.0, -1.0, -0.0, 0.0, 1.5, -1.5, 3.4e38, -3.4e38, 1 - 2**-24]),
+        st.integers(-full - 2, full + 2).map(lambda k: k / full),
+        st.integers(-full - 2, full + 2).map(lambda k: (k + 0.5) / full),
+        st.floats(-2.0, 2.0, width=32),
+    )
+    n_channels = draw(st.integers(1, 3))
+    frames = draw(st.lists(st.lists(value, min_size=n_channels, max_size=n_channels), max_size=12))
+    samples = np.array(frames, dtype=np.float32).reshape(-1, n_channels)
+    return encoding, samples[:, 0] if n_channels == 1 else samples
+
+
+# The reference scales pcm16 and pcm24 in float32, where ±3.4e38 overflows to ±inf.
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(_wav_clip())
+def test_wav_codec_matches_four_branch_codec(tmp_path_factory, case):
+    encoding, samples = case
+    n_channels = 1 if samples.ndim == 1 else samples.shape[1]
+    path = tmp_path_factory.mktemp("wav") / "x.wav"
+    write_wav(path, AudioClip(samples, SR), encoding)
+    want, payload = _four_branch_wav(samples, SR, encoding)
+    assert path.read_bytes() == want
+    got, ref = read_wav(path).samples, _four_branch_decode(payload, encoding, n_channels)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["pcm16", "pcm24", "pcm32"]),
+    st.integers(1, 3),
+    st.binary(max_size=96),
+)
+@example("pcm24", 1, b"\x00\x00\x80\xff\xff\x7f\xff\xff\xff\x01\x00\x00")
+@example("pcm16", 2, b"\x00\x80\xff\x7f\xff\xff\x01\x00")
+@example("pcm32", 1, b"\x00\x00\x00\x80\xff\xff\xff\x7f\xff\xff\xff\xff")
+def test_read_wav_decodes_every_pcm_pattern_as_four_branch_codec(
+    tmp_path_factory, encoding, n_channels, payload
+):
+    block = n_channels * _BITS[encoding] // 8
+    payload = payload[: len(payload) - len(payload) % block]
+    path = tmp_path_factory.mktemp("wav") / "x.wav"
+    frames = np.zeros((len(payload) // block, n_channels), np.float32)
+    write_wav(path, AudioClip(frames, SR), encoding)
+    path.write_bytes(path.read_bytes()[:44] + payload + b"\x00" * (len(payload) & 1))
+    got, ref = read_wav(path).samples, _four_branch_decode(payload, encoding, n_channels)
+    assert got.shape[0] == len(payload) // block
+    assert got.reshape(-1).tobytes() == ref.reshape(-1).tobytes()

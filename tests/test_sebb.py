@@ -393,9 +393,14 @@ class TestThresholdEvents:
         events = threshold_events(self.BOXES, {}, clip_id="c", default=0.0)
         assert events == sorted(events, key=lambda e: (e.onset_s, e.class_name))
 
-    def test_threshold_validation(self):
+    @pytest.mark.parametrize("thresholds, default", [
+        ({"dog": 1.5}, None),
+        ({}, 1.5),
+        ({"dog": 0.5}, float("nan")),
+    ])
+    def test_threshold_validation(self, thresholds, default):
         with pytest.raises(InvalidParameterError):
-            threshold_events(self.BOXES, {"dog": 1.5})
+            threshold_events(self.BOXES, thresholds, default=default)
 
 
 class TestMonotoneSensitivity:
