@@ -41,6 +41,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors become exit code 1, not 2
         raise UsageError(message)
 
+    def add_argument(self, *args, **kwargs):
+        """Add an option; the parsed namespace's ``flags`` maps its dest to its first flag."""
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings:
+            flags = self.get_default("flags") or {}
+            self.set_defaults(flags={**flags, action.dest: action.option_strings[0]})
+        return action
+
 
 def _read_config(path) -> dict[str, tuple[str, str]]:
     """Map each key of a key=value file to its value and its ``path:line``."""
@@ -77,8 +85,11 @@ def _resolve(args, cfg: dict[str, tuple[str, str]], name: str, default, cast):
 
 
 def _at(args, cfg: dict[str, tuple[str, str]], name: str) -> str:
-    """``path:line: `` of the ``--config`` line that set option ``name``, or ``""``."""
-    return f"{cfg[name][1]}: " if getattr(args, name, None) is None and name in cfg else ""
+    """Where option ``name`` was set, as a message prefix: ``--flag: ``, the
+    ``path:line: `` of its ``--config`` line, or ``""`` for its default."""
+    if getattr(args, name, None) is not None:
+        return f"{args.flags[name]}: "
+    return f"{cfg[name][1]}: " if name in cfg else ""
 
 
 def _check(where: str, build, *args, **kwargs) -> None:

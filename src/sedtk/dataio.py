@@ -158,23 +158,36 @@ def write_durations(durations: Mapping[str, float], path) -> None:
 
 
 def read_class_map(path) -> dict[str, str]:
-    """Parse source<TAB>target lines; '#' starts a comment."""
-    pairs = {src: dst for src, (dst, _) in _read_tab_pairs(path, "source<TAB>target").items()}
-    _check_chain_free(pairs)
+    """Parse source<TAB>target lines; '#' starts a comment.
+
+    A chain is a ``ParseError`` at the line of the first source whose target
+    is mapped on to another class.
+    """
+    lines = _read_tab_pairs(path, "source<TAB>target")
+    pairs = {src: dst for src, (dst, _) in lines.items()}
+    chain = _chain(pairs)
+    if chain is not None:
+        src, message = chain
+        raise ParseError(
+            f"{message}; {pairs[src]!r} is mapped at line {lines[pairs[src]][1]}",
+            path=path, line=lines[src][1],
+        )
     return pairs
 
 
-def _check_chain_free(pairs: Mapping[str, str]) -> None:
+def _chain(pairs: Mapping[str, str]) -> tuple[str, str] | None:
+    """The first source whose target is mapped on to another class, with a message."""
     for src, dst in pairs.items():
         if dst in pairs and pairs[dst] != dst:
-            raise InvalidParameterError(
-                f"class map is not chain-free: {src!r} -> {dst!r} -> {pairs[dst]!r}"
-            )
+            return src, f"class map is not chain-free: {src!r} -> {dst!r} -> {pairs[dst]!r}"
+    return None
 
 
 def apply_class_map(events: Sequence[Event], mapping: Mapping[str, str]) -> list[Event]:
     """Replace source classes by their super-class; others pass through."""
-    _check_chain_free(mapping)
+    chain = _chain(mapping)
+    if chain is not None:
+        raise InvalidParameterError(chain[1])
     return [
         Event(
             clip_id=e.clip_id,

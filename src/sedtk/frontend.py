@@ -34,8 +34,11 @@ _MEL_LOG_MEL = _MEL_LOG_HZ / _MEL_HZ_PER_STEP
 _MEL_LOG_STEP = math.log(6.4) / 27.0
 
 _BLOCK_BYTES = 1 << 20  # of float64 windowed frames per log_mel block: 64 frames at n_fft=2048
-# The highest rate resample_to_mono_16k takes; its FIR has up to 20 taps per input Hz.
+# The highest rate resample_to_mono_16k takes.
 _MAX_SAMPLE_RATE = 768_000
+# The largest term of the reduced ratio 16000 / rate that resample_to_mono_16k
+# takes, as 11025 Hz needs (640 / 441): its FIR has 20 taps per unit of the term.
+_MAX_RATIO_TERM = 640
 
 
 @dataclass(frozen=True)
@@ -184,13 +187,18 @@ def resample_to_mono_16k(clip: AudioClip) -> AudioClip:
         raise ConfigInvalidError(f"sample_rate {clip.sample_rate} Hz is above {_MAX_SAMPLE_RATE} Hz")
     if clip.samples.shape[0] == 0:
         raise EmptyAudioError("clip has zero samples")
+    g = math.gcd(int(clip.sample_rate), 16000)
+    up, down = 16000 // g, int(clip.sample_rate) // g
+    if max(up, down) > _MAX_RATIO_TERM:
+        raise ConfigInvalidError(
+            f"sample_rate {clip.sample_rate} Hz resamples to 16 kHz as {up}/{down}, "
+            f"a ratio term above {_MAX_RATIO_TERM}"
+        )
     mono = clip.samples
     if mono.ndim == 2:
         mono = mono.mean(axis=1, dtype=np.float64).astype(np.float32)
     if clip.sample_rate == 16000:
         return AudioClip(samples=mono, sample_rate=16000)
-    g = math.gcd(int(clip.sample_rate), 16000)
-    up, down = 16000 // g, int(clip.sample_rate) // g
     from scipy.signal import resample_poly
 
     out = resample_poly(mono.astype(np.float64), up, down, window=_resample_filter(up, down))

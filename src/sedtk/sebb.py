@@ -20,25 +20,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    ConfigInvalidError,
-    EmptyGridError,
-    InvalidFilterLenError,
-    InvalidParameterError,
-    ScoreOutOfRangeError,
-    UnknownClassError,
-    UnsortedInputError,
+    ConfigInvalidError, EmptyGridError, InvalidFilterLenError, InvalidParameterError,
+    ScoreOutOfRangeError, UnknownClassError, UnsortedInputError,
 )
 from .metrics import (
-    AnnotationSet,
-    Event,
-    PsdsConfig,
-    _match_counts,
-    _require_durations,
-    _staircase,
-    _truth_totals,
+    AnnotationSet, Event, PsdsConfig, _match_counts, _require_durations, _staircase,
+    _truth_totals, psds,
     psd_roc,  # not called here; perfbench/spans.py times it at this name too
-    psds,
 )
+
+_ROW_BLOCK = 64  # rows per stack in tune_csebb; larger stacks only add fresh multi-MB temporaries
 
 
 @dataclass(frozen=True)
@@ -113,9 +104,7 @@ class CsebbConfig:
 
     def __post_init__(self):
         if self.filter_len < 3 or self.filter_len % 2 == 0:
-            raise InvalidFilterLenError(
-                f"filter_len must be odd and >= 3, got {self.filter_len}"
-            )
+            raise InvalidFilterLenError(f"filter_len must be odd and >= 3, got {self.filter_len}")
         for name in ("merge_threshold_abs", "merge_threshold_rel", "boundary_threshold"):
             if not getattr(self, name) > 0:
                 raise ConfigInvalidError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -129,34 +118,33 @@ def delta_scores(track_row, filter_len: int) -> np.ndarray:
     (..., T) is taken row by row along its last axis; the output has the
     input's shape.
     """
-    if filter_len < 3 or filter_len % 2 == 0:
-        raise InvalidFilterLenError(
-            f"filter_len must be odd and >= 3, got {filter_len}"
-        )
+    CsebbConfig(filter_len=filter_len)  # its filter_len rule
     rows = np.asarray(track_row, dtype=np.float64)
     if rows.ndim < 1 or rows.shape[-1] < 1:
         raise InvalidParameterError("track row must be a non-empty vector")
     h = (filter_len - 1) // 2
     n = rows.shape[-1]
-    padded = np.concatenate(
-        [np.repeat(rows[..., :1], h, -1), rows, np.repeat(rows[..., -1:], h, -1)], axis=-1
-    )
-    cs = np.concatenate(
-        [np.zeros(rows.shape[:-1] + (1,)), np.cumsum(padded, axis=-1)], axis=-1
-    )
-    fwd = (cs[..., 2 * h + 1 : 2 * h + 1 + n] - cs[..., h : h + n]) / (h + 1)  # s[t .. t+h]
-    bwd = (cs[..., h : h + n] - cs[..., :n]) / h                               # s[t-h .. t-1]
-    return fwd - bwd
+    padded = np.empty(rows.shape[:-1] + (n + 2 * h,))
+    padded[..., :h], padded[..., h + n :] = rows[..., :1], rows[..., -1:]
+    padded[..., h : h + n] = rows
+    cs = np.zeros(rows.shape[:-1] + (n + 2 * h + 1,))
+    np.cumsum(padded, axis=-1, out=cs[..., 1:])
+    fwd = cs[..., 2 * h + 1 :] - cs[..., h : h + n]  # sum of s[t .. t+h]
+    bwd = cs[..., h : h + n] - cs[..., :n]           # sum of s[t-h .. t-1]
+    fwd /= h + 1
+    bwd /= h
+    fwd -= bwd
+    return fwd
 
 
-def _boundaries(delta: np.ndarray, threshold: float) -> list[list[tuple[int, int, float]]]:
-    """Boundary marks ``(frame, kind, |delta|)`` of each row of a (K, T) delta.
+def _boundaries(delta: np.ndarray, threshold: float):
+    """Boundary marks ``(row, frame, kind, |delta|)`` of a (R, T) delta, as four arrays.
 
-    One list per row, in frame order. Onsets (kind 1) are the peaks of a row
-    above +threshold, offsets (kind -1) its troughs below -threshold. A peak
-    is a run of equal values in adjacent frames whose two neighbours in the
-    row are both lower (a trough's are both higher), so no run on the row's
-    first or last frame is either. Each is marked at frame
+    The marks are in (row, frame) order. Onsets (kind 1) are the peaks of a
+    row above +threshold, offsets (kind -1) its troughs below -threshold. A
+    peak is a run of equal values in adjacent frames whose two neighbours in
+    the row are both lower (a trough's are both higher), so no run on the
+    row's first or last frame is either. Each is marked at frame
     ``(first + last) // 2`` of its run.
     """
     k, t = delta.shape
@@ -178,39 +166,44 @@ def _boundaries(delta: np.ndarray, threshold: float) -> list[list[tuple[int, int
     peaks = (first[peak] + last[peak]) // 2
     # row * t + frame, for onsets and offsets alike; no frame is both
     key = peaks % (k * t)
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     peaks, key = peaks[order], key[order]
-    marks = list(zip(
-        (key % t).tolist(),
-        np.where(peaks < k * t, 1, -1).tolist(),
-        np.abs(line[peaks]).tolist(),
-    ))
-    cuts = np.searchsorted(key, np.arange(k + 1) * t).tolist()
-    return [marks[a:b] for a, b in zip(cuts, cuts[1:])]
+    return key // t, key % t, np.where(peaks < k * t, 1, -1), np.abs(line[peaks])
 
 
-def _candidate_frames(row: np.ndarray, marks, threshold: float) -> list[list]:
-    """``[onset_frame, offset_frame, confidence]`` spans of one score row.
+def _candidate_spans(rows, marks, threshold: float, n_frames: np.ndarray):
+    """Candidate spans ``(row, onset_frame, offset_frame, confidence)`` of ``_boundaries`` marks.
 
-    Only the ``_boundaries`` marks with |delta| above threshold count. Runs
-    of same-kind marks collapse to the strongest |delta| member (ties go to
-    the earliest), then boundaries pair in temporal order: an unmatched
-    leading offset opens at frame 0, an unmatched trailing onset closes at
-    the final frame boundary. The confidence is the mean score over the span.
+    Only marks with |delta| above threshold count. Runs of same-kind marks
+    in a row collapse to their strongest |delta| member (ties go to the
+    earliest), then boundaries pair in temporal order: an unmatched leading
+    offset opens at frame 0, an unmatched trailing onset closes at
+    ``n_frames[row]``. The spans come in (row, onset) order.
     """
-    spans = []
-    pending_onset = None
-    strong = (m for m in marks if m[2] > threshold)
-    for kind, group in itertools.groupby(strong, key=lambda m: m[1]):
-        t = max(group, key=lambda m: m[2])[0]
-        if kind == 1:
-            pending_onset = t
-        else:
-            spans.append((pending_onset if pending_onset is not None else 0, t))
-            pending_onset = None
-    if pending_onset is not None:
-        spans.append((pending_onset, row.shape[-1]))
-    return [[a, b, float(np.add.reduce(row[a:b]) / (b - a))] for a, b in spans]
+    row, frame, kind, mag = (a[marks[3] > threshold] for a in marks)
+    code = 3 * row + kind  # one value per (row, kind)
+    run = np.ones(row.size, dtype=bool)  # a run of same-kind marks in one row starts here
+    np.not_equal(code[1:], code[:-1], out=run[1:])
+    # the first of each run in (run, -|delta|) order: its earliest strongest mark
+    keep = np.lexsort((-mag, np.cumsum(run)))[run]
+    row, frame, kind = row[keep], frame[keep], kind[keep]
+    # Kinds now alternate along a row, so each offset closes a span that the
+    # mark before it opens if that is in its row, or else frame 0; a row's
+    # last mark, if an onset, opens a span that closes at the row's end.
+    after = row == np.append(-1, row)[:-1]  # the mark before is in this row
+    offsets = kind < 0
+    close = offsets | (row != np.append(row, -1)[1:])  # an offset or its row's last mark
+    onset = np.where(offsets, np.append(0, frame)[:-1] * after, frame)[close]
+    offset = np.where(offsets, frame, n_frames[row])[close]
+    row = row[close]
+    return row, onset, offset, _span_means(rows, row, onset, offset)
+
+
+def _span_means(rows, row, start, stop) -> np.ndarray:
+    """Mean of ``rows[r][a:b]`` per span, by one ``np.add.reduce`` each, as in ``_merge_frames``."""
+    spans = zip(row.tolist(), start.tolist(), stop.tolist())
+    sums = [np.add.reduce(rows[r][a:b]) for r, a, b in spans]
+    return np.array(sums, dtype=np.float64) / (stop - start)
 
 
 def _merge_frames(events: list[list], row: np.ndarray, abs_thr: float, rel_thr: float):
@@ -226,15 +219,10 @@ def _merge_frames(events: list[list], row: np.ndarray, abs_thr: float, rel_thr: 
             if merged:
                 prev = merged[-1]
                 gap = row[prev[1] : ev[0]]
-                if gap.size == 0:
-                    do_merge = True
-                else:
-                    gap_mean = float(np.add.reduce(gap) / gap.size)
-                    do_merge = (
-                        gap_mean >= abs_thr
-                        and min(prev[2], ev[2]) / gap_mean <= rel_thr
-                    )
-                if do_merge:
+                gap_mean = float(np.add.reduce(gap) / gap.size) if gap.size else None
+                if gap_mean is None or (
+                    gap_mean >= abs_thr and min(prev[2], ev[2]) / gap_mean <= rel_thr
+                ):
                     span = row[prev[0] : ev[1]]
                     merged[-1] = [prev[0], ev[1], float(np.add.reduce(span) / span.size)]
                     changed = True
@@ -244,16 +232,41 @@ def _merge_frames(events: list[list], row: np.ndarray, abs_thr: float, rel_thr: 
     return events
 
 
+def _merge_spans(rows, spans, merges):
+    """Per ``(abs_thr, rel_thr)`` of ``merges``, ``_candidate_spans`` spans after ``_merge_frames``.
+
+    Spans come in (row, onset) order. A row goes through the loop only if its
+    first pass would join two neighbours; other rows' spans come first, unchanged.
+    """
+    row, onset, offset, conf = spans
+    left = np.flatnonzero(row[1:] == row[:-1])  # spans left and left + 1 are neighbours
+    gap_mean = _span_means(rows, row[left], offset[left], onset[left + 1])  # no gap is empty
+    low = np.minimum(conf[left], conf[left + 1])
+    events = list(zip(onset.tolist(), offset.tolist(), conf.tolist()))
+    for abs_thr, rel_thr in merges:
+        joins = gap_mean >= abs_thr
+        joins[joins] = low[joins] / gap_mean[joins] <= rel_thr
+        redo = np.unique(row[left[joins]])
+        kept = np.ones(row.size, dtype=bool)
+        boxes = []  # (row, onset, offset, confidence) of the rows in redo, merged
+        starts, stops = np.searchsorted(row, [redo, redo + 1]).tolist()
+        for r, a, b in zip(redo.tolist(), starts, stops):
+            kept[a:b] = False
+            boxes += [(r, *box) for box in _merge_frames(events[a:b], rows[r], abs_thr, rel_thr)]
+        boxes = np.reshape(boxes, (-1, 4)).T
+        merged_row, *rest = (np.concatenate([x[kept], y]) for x, y in zip(spans, boxes))
+        yield (merged_row.astype(np.intp), *rest)
+
+
 def detect_candidates(track: ScoreTrack, cfg: CsebbConfig) -> dict[str, list[SEBB]]:
     """Candidate bounding boxes per class, before gap merging."""
-    hop, bt = track.hop_seconds, cfg.boundary_threshold
-    out: dict[str, list[SEBB]] = {}
-    marks = _boundaries(delta_scores(track.scores, cfg.filter_len), bt)
-    for cname, row, row_marks in zip(track.class_names, track.scores, marks):
-        out[cname] = [
-            SEBB(onset_s=a * hop, offset_s=b * hop, class_name=cname, confidence=conf)
-            for a, b, conf in _candidate_frames(row, row_marks, bt)
-        ]
+    hop, names = track.hop_seconds, track.class_names
+    marks = _boundaries(delta_scores(track.scores, cfg.filter_len), cfg.boundary_threshold)
+    n_frames = np.full(len(names), track.n_frames)
+    spans = _candidate_spans(track.scores, marks, cfg.boundary_threshold, n_frames)
+    out: dict[str, list[SEBB]] = {cname: [] for cname in names}
+    for r, a, b, conf in zip(*(x.tolist() for x in spans)):
+        out[names[r]].append(SEBB(a * hop, b * hop, names[r], conf))
     return out
 
 
@@ -284,15 +297,7 @@ def merge_gaps(
             )
     cname = cands[0].class_name if cands else ""
     merged = _merge_frames(events, row, cfg.merge_threshold_abs, cfg.merge_threshold_rel)
-    return [
-        SEBB(
-            onset_s=on_f * hop_seconds,
-            offset_s=off_f * hop_seconds,
-            class_name=cname,
-            confidence=conf,
-        )
-        for on_f, off_f, conf in merged
-    ]
+    return [SEBB(a * hop_seconds, b * hop_seconds, cname, conf) for a, b, conf in merged]
 
 
 def detect_sebbs(track: ScoreTrack, cfg: CsebbConfig) -> list[SEBB]:
@@ -300,9 +305,7 @@ def detect_sebbs(track: ScoreTrack, cfg: CsebbConfig) -> list[SEBB]:
     out = []
     cands = detect_candidates(track, cfg)
     for k, cname in enumerate(track.class_names):
-        out.extend(
-            merge_gaps(cands[cname], track.scores[k], cfg, track.hop_seconds)
-        )
+        out.extend(merge_gaps(cands[cname], track.scores[k], cfg, track.hop_seconds))
     out.sort(key=lambda s: (s.onset_s, s.class_name))
     return out
 
@@ -326,18 +329,9 @@ def threshold_events(
     for s in sebbs:
         thr = thresholds.get(s.class_name, default)
         if thr is None:
-            raise UnknownClassError(
-                f"no threshold for class {s.class_name!r} and no default"
-            )
+            raise UnknownClassError(f"no threshold for class {s.class_name!r} and no default")
         if s.confidence >= thr:
-            kept.append(
-                Event(
-                    clip_id=clip_id,
-                    class_name=s.class_name,
-                    onset_s=s.onset_s,
-                    offset_s=s.offset_s,
-                )
-            )
+            kept.append(Event(clip_id, s.class_name, s.onset_s, s.offset_s))
     kept.sort(key=lambda e: (e.onset_s, e.class_name))
     return kept
 
@@ -355,12 +349,7 @@ def tune_csebb(
     smaller thresholds in the order (boundary, abs, rel).
     """
     defaults = CsebbConfig()
-    known = {
-        "filter_len",
-        "boundary_threshold",
-        "merge_threshold_abs",
-        "merge_threshold_rel",
-    }
+    known = set(CsebbConfig.__dataclass_fields__)
     unknown = set(grid) - known
     if unknown:
         raise InvalidParameterError(f"unknown grid keys: {sorted(unknown)}")
@@ -393,10 +382,18 @@ def tune_csebb(
         np.array([e.offset_s for e in truth.events], dtype=np.float64),
     )
     row_code = np.array(row_code, dtype=np.intp)
+    row_col = code_col[row_code]
     row_track = np.repeat(np.arange(len(tracks)), [len(tr.class_names) for tr in tracks])
     row_hop = np.array([tr.hop_seconds for tr in tracks])[row_track]
     rows = [row for tr in tracks for row in tr.scores]
+    n_frames = np.array([row.size for row in rows], dtype=np.intp)
     truth_clips = {e.clip_id for e in truth.events}
+    # Rows of one length go through delta and boundaries in stacks of up to
+    # _ROW_BLOCK rows; a block holds its rows' ids, in order.
+    by_length = np.argsort(n_frames, kind="stable")
+    same_length = np.split(by_length, np.flatnonzero(np.diff(n_frames[by_length])) + 1)
+    blocks = [ids[i : i + _ROW_BLOCK]
+              for ids in same_length for i in range(0, ids.size, _ROW_BLOCK)]
 
     # Each stage runs once for the axes it depends on: peaks and troughs per
     # filter_len (the marks beyond the smallest boundary_threshold serve every
@@ -404,25 +401,28 @@ def tune_csebb(
     floor = axes["boundary_threshold"][0]
     best: tuple[float, CsebbConfig] | None = None
     for fl in axes["filter_len"]:
-        marks = [m for tr in tracks for m in _boundaries(delta_scores(tr.scores, fl), floor)]
+        found = [(np.empty(0, np.intp),) * 3 + (np.empty(0),)]  # the marks of no rows
+        for ids in blocks:
+            row, *rest = _boundaries(delta_scores(np.stack([rows[r] for r in ids]), fl), floor)
+            found.append((ids[row], *rest))
+        marks = [np.concatenate(field) for field in zip(*found)]
+        order = np.argsort(marks[0], kind="stable")  # all rows in (row, frame) order
+        marks = [field[order] for field in marks]
         for bt in axes["boundary_threshold"]:
-            cands = [_candidate_frames(row, m, bt) for row, m in zip(rows, marks)]
-            for ma, mr in merges:
+            spans = _candidate_spans(rows, marks, bt, n_frames)
+            merged = _merge_spans(rows, spans, merges)
+            for (ma, mr), (row, onset, offset, conf) in zip(merges, merged):
                 cfg = CsebbConfig(fl, ma, mr, bt)
-                merged = [_merge_frames(spans, row, ma, mr) for spans, row in zip(cands, rows)]
-                n = np.array(list(map(len, merged)), dtype=np.intp)  # boxes per row
-                box = np.array([b for m in merged for b in m], dtype=np.float64).reshape(-1, 3)
-                track = np.repeat(row_track, n)
-                hop = np.repeat(row_hop, n)
-                onset, offset = box[:, 0] * hop, box[:, 1] * hop
+                track = row_track[row]
+                onset, offset = onset * row_hop[row], offset * row_hop[row]
                 # tracks in order, then each track's boxes by onset, then class
                 # name, as detect_sebbs orders them
-                order = np.lexsort((np.repeat(code_col[row_code], n), onset, track))
+                order = np.lexsort((row_col[row], onset, track))
                 _require_durations(
                     truth_clips.union(tracks[i].clip_id for i in np.unique(track).tolist()),
                     truth.clip_durations,
                 )
-                dets = (np.repeat(row_code, n)[order], onset[order], offset[order], box[order, 2])
+                dets = (row_code[row][order], onset[order], offset[order], conf[order])
                 tp, fp = _match_counts(
                     coded_truth, dets, code_col, len(classes),
                     psds_cfg.rho_dtc, psds_cfg.rho_gtc, psds_cfg.thresholds,

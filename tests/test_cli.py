@@ -428,8 +428,10 @@ class TestFeaturesAndStats:
         (_edited((36, None, b"")), "1", "missing fmt or data chunk"),
         (_edited((24, 28, b"\xff" * 4)), "1",
          "sample_rate 4294967295 Hz is above 768000 Hz"),
+        (_edited((24, 28, (96001).to_bytes(4, "little"))), "1",
+         "sample_rate 96001 Hz resamples to 16 kHz as 16000/96001, a ratio term above 640"),
     ], ids=["zero-samples", "rate-zero", "shorter-than-n-fft", "bits-zero", "zero-channels",
-            "fmt-14-bytes", "no-data-chunk", "rate-4294967295"])
+            "fmt-14-bytes", "no-data-chunk", "rate-4294967295", "rate-96001"])
     def test_bad_clip_is_data_error_naming_the_wav(self, tmp_path, capsys, make_wav, pad, message):
         wav_dir = self._wav_dir(tmp_path, [1.0])
         bad = wav_dir / "clip9.wav"
@@ -607,11 +609,14 @@ class TestPostprocessAndTune:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    # The message names the flag, not the field it sets.
     @pytest.mark.parametrize("flag, value, message", [
-        ("--threshold", "2", "default threshold must be in [0,1], got 2.0"),
-        ("--threshold", "nan", "default threshold must be in [0,1], got nan"),
-        ("--filter-len", "4", "filter_len must be odd and >= 3, got 4"),
-        ("--merge-rel", "0", "merge_threshold_rel must be > 0, got 0.0"),
+        ("--threshold", "2", "--threshold: default threshold must be in [0,1], got 2.0"),
+        ("--threshold", "nan", "--threshold: default threshold must be in [0,1], got nan"),
+        ("--filter-len", "4", "--filter-len: filter_len must be odd and >= 3, got 4"),
+        ("--merge-abs", "-0.5", "--merge-abs: merge_threshold_abs must be > 0, got -0.5"),
+        ("--merge-rel", "0", "--merge-rel: merge_threshold_rel must be > 0, got 0.0"),
+        ("--boundary", "nan", "--boundary: boundary_threshold must be > 0, got nan"),
     ])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flag, value, message):
         scores = self._scores_fixture(tmp_path)
@@ -696,6 +701,21 @@ class TestPostprocessAndTune:
         assert run(argv + [flag, str(values)]) == 2
         captured = capsys.readouterr()
         assert f"error: {values}:3: key 'dog' is already set at {values}:1" in captured.err
+        assert captured.out == ""
+
+    def test_chained_class_map_is_data_error_at_its_line(self, tmp_path, capsys):
+        class_map = tmp_path / "map.tsv"
+        class_map.write_text("# super-classes\nCat\tAnimal\nDog\tCat\n")
+        events, truth, durs = _perfect_fixture(tmp_path)
+        code = run(["evaluate", "--psds", "--events", str(events), "--truth", str(truth),
+                    "--durations", str(durs), "--class-map", str(class_map)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (
+            f"error: {class_map}:3: class map is not chain-free: 'Dog' -> 'Cat' -> 'Animal'; "
+            "'Cat' is mapped at line 2"
+        ) in captured.err
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_bad_grid_is_reported_before_scores_are_read(self, tmp_path, capsys):

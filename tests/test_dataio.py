@@ -170,8 +170,18 @@ class TestClassMap:
         }
 
     def test_chain_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="'a' -> 'b' -> 'c'"):
             apply_class_map([Event("x", "a", 0.0, 1.0)], {"a": "b", "b": "c"})
+
+    def test_chain_in_file_is_parse_error_at_the_source_line(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text("Dog\tCat\n\nCat\tAnimal\nBird\tBird\n")
+        chain = "'Dog' -> 'Cat' -> 'Animal'; 'Cat' is mapped at line 3"
+        with pytest.raises(ParseError, match=chain) as err:
+            read_class_map(path)
+        assert err.value.line == 1
+        path.write_text("Dog\tDog\nCat\tDog\n")  # a class mapped to itself ends no chain
+        assert read_class_map(path) == {"Dog": "Dog", "Cat": "Dog"}
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "map.tsv"

@@ -72,6 +72,21 @@ class TestResample:
             tracemalloc.stop()
         assert peak < 2**20, f"refusing the rate peaked at {peak / 2**20:.1f} MiB"
 
+    @pytest.mark.parametrize("rate, ratio", [(96001, "16000/96001"), (16001, "16000/16001"),
+                                             (11024, "1000/689"), (767999, "16000/767999")])
+    def test_rate_with_a_long_filter_is_refused_before_any_filter(self, rate, ratio):
+        # 96001 Hz would build a filter of 1.92 M taps; 11025 Hz (640/441) is the largest taken.
+        clip = AudioClip(np.zeros(rate // 10, np.float32), rate)
+        want = f"{rate} Hz resamples to 16 kHz as {ratio}, a ratio term above 640"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigInvalidError, match=want):
+                resample_to_mono_16k(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"refusing the rate peaked at {peak / 2**20:.1f} MiB"
+
     # Every standard rate from 8 kHz to 384 kHz, and the 768 kHz limit itself.
     @pytest.mark.parametrize("rate", [
         8000, 11025, 22050, 32000, 44100, 48000, 88200, 96000,

@@ -24,6 +24,9 @@ from sedtk.sebb import (
     CsebbConfig,
     ScoreTrack,
     _boundaries,
+    _candidate_spans,
+    _merge_frames,
+    _merge_spans,
     delta_scores,
     detect_candidates,
     detect_sebbs,
@@ -199,9 +202,104 @@ class TestBoundaries:
     @example((_rows([0.0, 0.5, 0.5, 0.5, 0.5, 0.0], [0.0, 0.7, 0.5, 0.5, 0.5, 0.0]), 0.1))
     def test_rows_at_once_equal_each_row_alone(self, case):
         delta, threshold = case
-        assert _boundaries(delta, threshold) == [
-            _per_row_boundaries(row, threshold) for row in delta
+        row, frame, kind, mag = (x.tolist() for x in _boundaries(delta, threshold))
+        assert list(zip(row, frame, kind, mag)) == [
+            (r, *mark) for r, d in enumerate(delta) for mark in _per_row_boundaries(d, threshold)
         ]
+
+
+def _per_row_candidate_frames(row, marks, threshold):
+    """Reference: the per-row pairing generator that ``_candidate_spans`` replaced.
+
+    ``marks`` are one row's ``(frame, kind, |delta|)`` tuples in frame order.
+    """
+    spans = []
+    pending_onset = None
+    strong = (m for m in marks if m[2] > threshold)
+    for kind, group in itertools.groupby(strong, key=lambda m: m[1]):
+        t = max(group, key=lambda m: m[2])[0]
+        if kind == 1:
+            pending_onset = t
+        else:
+            spans.append((pending_onset if pending_onset is not None else 0, t))
+            pending_onset = None
+    if pending_onset is not None:
+        spans.append((pending_onset, row.shape[-1]))
+    return [[a, b, float(np.add.reduce(row[a:b]) / (b - a))] for a, b in spans]
+
+
+@st.composite
+def _marked_rows(draw):
+    """Score rows of 1-40 frames, marks shaped as ``_boundaries`` gives them, and a threshold.
+
+    Marks sit on distinct frames strictly inside their row (so a row of 1 or
+    2 frames has none), with kinds in any order and |delta| from a few
+    levels, so runs of one kind hold ties. Rows differ in length.
+    """
+    rows, marks = [], []
+    for r in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 40))
+        rows.append(np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))))
+        frames = draw(st.lists(st.integers(1, n - 2), unique=True)) if n >= 3 else []
+        for f in sorted(frames):
+            kind = draw(st.sampled_from([1, -1]))
+            marks.append((r, f, kind, draw(st.sampled_from([0.05, 0.1, 0.2, 0.3]))))
+    return rows, marks, draw(st.sampled_from([0.0, 0.1, 0.2]))
+
+
+def _mark_arrays(marks):
+    row, frame, kind, mag = zip(*marks) if marks else ((), (), (), ())
+    return (np.array(row, dtype=np.intp), np.array(frame, dtype=np.intp),
+            np.array(kind, dtype=np.intp), np.array(mag, dtype=np.float64))
+
+
+def _spans_by_row(spans, n_rows):
+    by_row = [[] for _ in range(n_rows)]
+    for r, a, b, conf in zip(*(x.tolist() for x in spans)):
+        by_row[r].append([a, b, conf])
+    return by_row
+
+
+_ROW = np.linspace(0.0, 1.0, 12)
+
+
+class TestCandidateSpans:
+    # The oracle is the per-row pairing generator, kept above.
+    @settings(max_examples=400, deadline=None)
+    @given(_marked_rows())
+    # a leading offset, then a trailing onset
+    @example(([_ROW], [(0, 3, -1, 0.3), (0, 7, 1, 0.3)], 0.1))
+    # equal |delta| within a run: the earliest wins
+    @example(([_ROW], [(0, 2, 1, 0.2), (0, 4, 1, 0.2), (0, 6, -1, 0.2), (0, 8, -1, 0.2)], 0.1))
+    # rows without marks between marked ones, and rows of 1 to 3 frames
+    @example(([_ROW, _ROW[:1], _ROW[:2], _ROW[:3], _ROW], [(0, 5, 1, 0.3), (3, 1, -1, 0.3),
+                                                         (4, 1, 1, 0.3)], 0.1))
+    # marks only at or below the threshold
+    @example(([_ROW], [(0, 2, 1, 0.1), (0, 5, -1, 0.05)], 0.1))
+    def test_pairing_equals_the_per_row_generator(self, case):
+        rows, marks, threshold = case
+        n_frames = np.array([row.size for row in rows])
+        spans = _candidate_spans(rows, _mark_arrays(marks), threshold, n_frames)
+        assert _spans_by_row(spans, len(rows)) == [
+            _per_row_candidate_frames(row, [m[1:] for m in marks if m[0] == r], threshold)
+            for r, row in enumerate(rows)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_marked_rows(), st.lists(
+        st.tuples(st.sampled_from([0.05, 0.15, 0.3, 0.6]), st.sampled_from([0.5, 1.0, 1.5, 3.0])),
+        min_size=1, max_size=4,
+    ))
+    def test_merging_equals_the_merge_loop_on_every_row(self, case, merges):
+        rows, marks, threshold = case
+        n_frames = np.array([row.size for row in rows])
+        spans = _candidate_spans(rows, _mark_arrays(marks), threshold, n_frames)
+        by_row = _spans_by_row(spans, len(rows))
+        for (ma, mr), merged in zip(merges, _merge_spans(rows, spans, merges)):
+            assert sorted(zip(*(x.tolist() for x in merged))) == sorted(
+                (r, *box) for r, row in enumerate(rows)
+                for box in _merge_frames(by_row[r], row, ma, mr)
+            )
 
 
 class TestDetectCandidates:
@@ -684,3 +782,16 @@ class TestTuneCsebbMatchesPerConfigPipeline:
             assert got == want
         else:
             assert not isinstance(got, str)
+
+
+@pytest.fixture(scope="class", params=[1, 3])
+def _small_row_blocks(request):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sedtk.sebb, "_ROW_BLOCK", request.param)
+        yield
+
+
+@pytest.mark.usefixtures("_small_row_blocks")
+class TestTuneCsebbInSmallRowBlocks(TestTuneCsebbMatchesPerConfigPipeline):
+    """The same checks with stacks of 1 and 3 rows: block edges fall inside tracks,
+    and the tracks' mixed lengths and hops spread over many blocks."""
