@@ -31,6 +31,9 @@ STORAGE_DTYPE = np.float32
 
 FMT_MAGIC = b"FMT1"
 
+# Bytes of the bool temporary of Batch's finite check: one block of items at a time.
+_CHECK_BYTES = 1 << 18
+
 
 class DomainTag(IntEnum):
     DESED = 0
@@ -79,14 +82,15 @@ class Batch:
     """N domain-tagged (C, F, T) feature maps held as one array.
 
     ``data`` is a read-only, C-contiguous (N, C, F, T) float32 array,
-    checked once here. A writeable input array is copied, so later writes
-    to it cannot reach the batch; a read-only one is taken as it is.
+    checked once here, finiteness a block of items at a time so the check's
+    temporary stays small. A writeable input array is copied, so later
+    writes to it cannot reach the batch; a read-only one is taken as it is.
     """
 
     data: np.ndarray
     tags: tuple[DomainTag, ...]
 
-    def __post_init__(self):
+    def __post_init__(self, checked: bool = False):
         arr = np.ascontiguousarray(self.data, dtype=STORAGE_DTYPE)
         if arr.ndim != 4:
             raise ShapeMismatchError(f"batch must be 4-D (N,C,F,T), got ndim={arr.ndim}")
@@ -96,13 +100,24 @@ class Batch:
             raise ShapeMismatchError(f"feature map dims must all be >= 1, got {arr.shape[1:]}")
         if arr.shape[0] != len(self.tags):
             raise ShapeMismatchError(f"{arr.shape[0]} maps but {len(self.tags)} domain tags")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidParameterError("batch data contains NaN or Inf")
+        if not checked:
+            step = max(1, _CHECK_BYTES // arr[0].size)
+            if not all(np.isfinite(arr[i : i + step]).all() for i in range(0, len(arr), step)):
+                raise InvalidParameterError("batch data contains NaN or Inf")
         if arr.flags.writeable:
             arr = arr.copy() if arr is self.data else arr
             arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "tags", tuple(DomainTag(t) for t in self.tags))
+
+    @classmethod
+    def _of_checked(cls, data: np.ndarray, tags) -> "Batch":
+        """Batch a read-only (N, C, F, T) array of maps already checked finite."""
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "data", data)
+        object.__setattr__(batch, "tags", tags)
+        batch.__post_init__(checked=True)
+        return batch
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -128,7 +143,7 @@ def make_batch(maps: Sequence[FeatureMap], tags: Sequence[DomainTag]) -> Batch:
             raise ShapeMismatchError(f"batch item {i} has shape {m.shape}, expected {ref}")
     data = np.stack([m.data for m in maps])
     data.flags.writeable = False
-    return Batch(data, tags)
+    return Batch._of_checked(data, tags)  # each FeatureMap was checked when built
 
 
 class RandomSource:

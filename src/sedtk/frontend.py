@@ -181,6 +181,25 @@ def _resample_filter(up: int, down: int) -> np.ndarray:
     return taps
 
 
+def _downmix(samples: np.ndarray) -> np.ndarray:
+    """Float32 channel mean of (n, channels) samples, accumulated in float64.
+
+    Below 8 channels the columns are added in channel order onto +0.0 and
+    the sum divided by the count: ``mean(axis=1, dtype=np.float64)`` adds a
+    row's values in the same order, so the bits are the same, without a
+    reduction per row. From 8 channels numpy's pairwise sum adds a row in
+    eight partial sums, so its mean is used.
+    """
+    n_channels = samples.shape[1]
+    if n_channels >= 8:
+        return samples.mean(axis=1, dtype=np.float64).astype(np.float32)
+    acc = np.zeros(samples.shape[0])
+    for column in samples.T:
+        acc += column
+    acc /= n_channels
+    return acc.astype(np.float32)
+
+
 def resample_to_mono_16k(clip: AudioClip) -> AudioClip:
     """Average channels to mono, then band-limited polyphase resample to 16 kHz."""
     if clip.sample_rate > _MAX_SAMPLE_RATE:
@@ -196,7 +215,7 @@ def resample_to_mono_16k(clip: AudioClip) -> AudioClip:
         )
     mono = clip.samples
     if mono.ndim == 2:
-        mono = mono.mean(axis=1, dtype=np.float64).astype(np.float32)
+        mono = _downmix(mono)
     if clip.sample_rate == 16000:
         return AudioClip(samples=mono, sample_rate=16000)
     from scipy.signal import resample_poly
@@ -219,17 +238,20 @@ def log_mel(clip: AudioClip, cfg: MelConfig) -> FeatureMap:
         )
     if clip.samples.ndim != 1:
         raise ConfigInvalidError("log_mel expects a mono clip; resample first")
-    y = clip.samples.astype(np.float64)
-    target_len = int(round(cfg.pad_to_seconds * cfg.sample_rate))
-    if y.shape[0] < target_len:
-        y = np.pad(y, (0, target_len - y.shape[0]))
-    if y.shape[0] < cfg.n_fft:
+    n = clip.samples.shape[0]
+    length = max(n, int(round(cfg.pad_to_seconds * cfg.sample_rate)))
+    if length < cfg.n_fft:
         raise ConfigInvalidError(
-            f"padded clip ({y.shape[0]} samples) shorter than n_fft={cfg.n_fft}"
+            f"padded clip ({length} samples) shorter than n_fft={cfg.n_fft}"
         )
 
+    # One float64 buffer: the clip, zeros up to `length`, and `pad` samples
+    # reflected about each end (length - 1 >= pad, so one reflection reaches).
     pad = cfg.n_fft // 2
-    y = np.pad(y, (pad, pad), mode="reflect")
+    y = np.zeros(length + 2 * pad)
+    y[pad : pad + n] = clip.samples
+    y[:pad] = y[2 * pad : pad : -1]
+    y[pad + length :] = y[pad + length - 2 : length - 2 : -1]
     n_frames = 1 + (y.shape[0] - cfg.n_fft) // cfg.hop_length
     frames = np.lib.stride_tricks.sliding_window_view(y, cfg.n_fft)[
         :: cfg.hop_length
@@ -280,6 +302,7 @@ def read_wav(path) -> AudioClip:
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise ParseError("not a RIFF/WAVE file", path=path)
+    raw = memoryview(raw)  # chunk bodies are views of the file's bytes, not copies
     pos = 12
     chunks = {}
     while pos + 8 <= len(raw):
@@ -312,10 +335,13 @@ def read_wav(path) -> AudioClip:
     else:
         if bits == 24:
             lo_hi = np.frombuffer(data, dtype=[("lo", "u1"), ("hi", "<i2")], count=n)
-            ints = lo_hi["hi"].astype(np.int32) * 256 + lo_hi["lo"]
+            ints = lo_hi["hi"].astype(np.int32)
+            ints *= 256
+            ints += lo_hi["lo"]
         else:
             ints = np.frombuffer(data, dtype=f"<i{bits // 8}", count=n)
-        samples = ints.astype(np.float32) / 2.0 ** (bits - 1)
+        samples = ints.astype(np.float32)
+        samples /= 2.0 ** (bits - 1)
     if n_channels > 1:
         samples = samples.reshape(-1, n_channels)
     return AudioClip(samples=samples, sample_rate=int(rate))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Batch, DomainTag, RandomSource, beta_sample
 from .errors import ConfigInvalidError, InvalidParameterError
-from .stats import bin_moments
+from .stats import bin_moments, centred_moments
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def make_reference_batch(
     order = swapped[perm]
     data = batch.data[order]
     data.flags.writeable = False
-    return Batch(data, [tags[i] for i in order])
+    return Batch._of_checked(data, [tags[i] for i in order])
 
 
 def freq_mixstyle(
@@ -111,12 +111,12 @@ def freq_mixstyle(
     out = np.empty(batch.data.shape, dtype=np.float32)
     for i, (w, (mu_r, var_r)) in enumerate(zip(lam_vec, ref_moments)):
         x = batch.data[i : i + 1].astype(np.float64)
-        mu_x, var_x = bin_moments(x, (1, 3))  # (1, 1, F, 1)
+        # in place: x becomes x - mu_x, then sd_mix * (x - mu_x) / (sd_x + eps) + mu_mix
+        mu_x, var_x, _ = centred_moments(x, (1, 3), out=x)  # (1, 1, F, 1)
         sd_x, sd_r = np.sqrt(var_x), np.sqrt(var_r)
         mu_mix = w * mu_x + (1.0 - w) * mu_r
         sd_mix = w * sd_x + (1.0 - w) * sd_r
 
-        x -= mu_x  # in place: x becomes sd_mix * (x - mu_x) / (sd_x + eps) + mu_mix
         x *= sd_mix
         x /= sd_x + cfg.eps
         x += mu_mix

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import FeatureMap
 from .errors import InvalidParameterError, ShapeMismatchError
-from .stats import bin_moments
+from .stats import centred_moments
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,10 @@ class NormGradients:
 def _whiten(fmap: FeatureMap, eps: float):
     """The input x in float64, its per-bin whitened form y and the bin scale s."""
     x = fmap.data.astype(np.float64)
-    mu, var = bin_moments(x, (0, 2))
+    _, var, y = centred_moments(x, (0, 2))
     s = np.sqrt(var + eps)
-    return x, (x - mu) / s, s
+    y /= s
+    return x, y, s
 
 
 def freq_in(fmap: FeatureMap, eps: float = 1e-5) -> FeatureMap:
@@ -67,8 +68,12 @@ def freq_in(fmap: FeatureMap, eps: float = 1e-5) -> FeatureMap:
 def ada_res_norm(fmap: FeatureMap, params: AdaResNormParams) -> FeatureMap:
     """Blend identity and whitened paths, then scale and shift."""
     x, y, _ = _whiten(fmap, params.eps)
-    z = (params.a * x + (1.0 - params.a) * y) * params.b + params.c
-    return FeatureMap._own(z.astype(np.float32))
+    x *= params.a  # in place: x becomes (a * x + (1 - a) * y) * b + c
+    y *= 1.0 - params.a
+    x += y
+    x *= params.b
+    x += params.c
+    return FeatureMap._own(x.astype(np.float32))
 
 
 def ada_res_norm_grad(
@@ -91,15 +96,32 @@ def ada_res_norm_grad(
         )
     a, b = params.a, params.b
     x, y, s = _whiten(fmap, params.eps)
-
+    # Each block computes the formula in its comment, with the same operations
+    # in the same order, in buffers reused across blocks.
     d_c = u.sum()
-    d_b = (u * (a * x + (1.0 - a) * y)).sum()
-    d_a = b * (u * (x - y)).sum()
+    # d_b = (u * (a * x + (1 - a) * y)).sum()
+    w = np.multiply(x, a)
+    t = np.multiply(y, 1.0 - a)
+    w += t
+    w *= u
+    d_b = w.sum()
+    # d_a = b * (u * (x - y)).sum()
+    np.subtract(x, y, out=w)
+    w *= u
+    d_a = b * w.sum()
 
-    g = (1.0 - a) * b * u
+    # g = (1 - a) * b * u, and its and g * y's per-bin means
+    g = np.multiply(u, (1.0 - a) * b, out=x)
     g_mean = g.mean(axis=(0, 2), keepdims=True)
-    gy_mean = (g * y).mean(axis=(0, 2), keepdims=True)
-    d_input = a * b * u + (g - g_mean - y * gy_mean) / s
+    np.multiply(g, y, out=w)
+    gy_mean = w.mean(axis=(0, 2), keepdims=True)
+    # d_input = a * b * u + (g - g_mean - y * gy_mean) / s
+    g -= g_mean
+    np.multiply(y, gy_mean, out=w)
+    g -= w
+    g /= s
+    d_input = np.multiply(u, a * b, out=t)
+    d_input += g
     return NormGradients(
         d_a=float(d_a), d_b=float(d_b), d_c=float(d_c), d_input=d_input
     )

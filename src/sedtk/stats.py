@@ -2,12 +2,13 @@
 
 One mean/std pair per frequency bin (reduced over channel and time) or per
 channel (reduced over frequency and time). Std is the population form.
-``bin_moments`` computes these moments for :mod:`sedtk.mixstyle` and
-:mod:`sedtk.norm` too.
+``centred_moments`` computes these moments, and the centred input, for
+:mod:`sedtk.mixstyle` and :mod:`sedtk.norm` too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +33,29 @@ class ChanStats:
     sigma: np.ndarray
 
 
-def bin_moments(x: np.ndarray, axis: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 mean and population variance of ``x`` over ``axis``.
+def centred_moments(
+    x: np.ndarray, axis: tuple[int, ...], out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 mean and population variance of ``x`` over ``axis``, and ``x - mean``.
 
-    Both keep the reduced axes (size 1), so they broadcast against ``x``.
+    The mean and variance keep the reduced axes (size 1), so they broadcast
+    against ``x``. They are ``x.mean`` and ``x.var`` with ``dtype=np.float64``
+    bit for bit, from one sum for the mean as both take it. The centred
+    array is float64 and is written to ``out`` when given (``x`` itself may
+    be ``out`` if it is float64).
     """
-    mu = x.mean(axis=axis, dtype=np.float64, keepdims=True)
-    var = x.var(axis=axis, dtype=np.float64, keepdims=True)
-    return mu, var
+    count = math.prod(x.shape[a] for a in axis)
+    mu = np.add.reduce(x, axis=axis, dtype=np.float64, keepdims=True)
+    mu /= count
+    centred = np.subtract(x, mu, out=out)
+    var = np.add.reduce(np.square(centred), axis=axis, dtype=np.float64, keepdims=True)
+    var /= count
+    return mu, var, centred
+
+
+def bin_moments(x: np.ndarray, axis: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 mean and population variance of :func:`centred_moments`."""
+    return centred_moments(x, axis)[:2]
 
 
 def freq_stats(fmap: FeatureMap) -> FreqStats:
@@ -70,8 +86,7 @@ def export_stats(batch: Batch, which: str, path) -> int:
         )
     with atomic_open(path) as fh:
         for tag, st in zip(batch.tags, vectors):
-            values = np.concatenate([st.mu, st.sigma])
-            fh.write(DomainTag(tag).name + ",")
-            fh.write(",".join(f"{v:.9g}" for v in values))
-            fh.write("\n")
+            # one %-format per row; "%.9g" spells each value as f"{v:.9g}" does
+            row = DomainTag(tag).name + ",%.9g" * (st.mu.size + st.sigma.size) + "\n"
+            fh.write(row % (*st.mu.tolist(), *st.sigma.tolist()))
     return len(batch)

@@ -1,5 +1,7 @@
 """Batch substrate, binary tensor format, and the seeded Beta sampler."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -154,6 +156,39 @@ class TestBatch:
             Batch(bad, [DomainTag.DESED])
         with pytest.raises(ShapeMismatchError):
             Batch(np.zeros((1, 2, 3), np.float32), [DomainTag.DESED])
+
+    @pytest.mark.parametrize("item", [0, 1, 2, 3, 62, 63])
+    def test_batch_rejects_nan_in_any_block_of_items(self, item):
+        data = np.zeros((64, 1, 128, 626), np.float32)
+        data[item, 0, 127, 625] = np.nan
+        with pytest.raises(InvalidParameterError):
+            Batch(data, [DomainTag.DESED] * 64)
+
+    def test_dcase_batch_check_peak_memory(self):
+        # 64 x (1, 128, 626): one bool array over the whole batch is 5.1 MB
+        data = np.random.default_rng(0).normal(-20, 5, (64, 1, 128, 626)).astype(np.float32)
+        data.flags.writeable = False
+        tracemalloc.start()
+        try:
+            batch = Batch(data, [DomainTag.DESED] * 32 + [DomainTag.MAESTRO] * 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.data is data
+        assert peak < 2**20, f"checking the batch peaked at {peak / 2**20:.2f} MiB"
+
+    def test_make_batch_does_not_recheck_its_maps(self):
+        maps = _maps([(1, 128, 626)] * 64)
+        tracemalloc.start()
+        try:
+            batch = make_batch(maps, [DomainTag.DESED] * 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(batch.data, np.stack([m.data for m in maps]))
+        assert not batch.data.flags.writeable
+        assert batch.tags == (DomainTag.DESED,) * 64
+        assert peak < batch.data.nbytes + 2**16, f"peak {peak - batch.data.nbytes} B over the stack"
 
     def test_maps_are_views_not_rebuilt(self, monkeypatch, tmp_path):
         path = tmp_path / "b.fmt"

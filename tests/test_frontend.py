@@ -15,6 +15,7 @@ from sedtk.frontend import (
     _BLOCK_BYTES,
     AudioClip,
     _analysis_tables,
+    _downmix,
     _resample_filter,
     MelConfig,
     hz_to_mel,
@@ -56,6 +57,11 @@ class TestResample:
         out_stereo = resample_to_mono_16k(stereo)
         out_mono = resample_to_mono_16k(AudioClip(mono, 32000))
         np.testing.assert_allclose(out_stereo.samples, out_mono.samples, atol=1e-6)
+
+    def test_multichannel_16k_clip_is_the_float64_channel_mean(self):
+        samples = np.random.default_rng(3).uniform(-1, 1, (1000, 3)).astype(np.float32)
+        out = resample_to_mono_16k(AudioClip(samples, SR))
+        assert out.samples.tobytes() == samples.mean(axis=1, dtype=np.float64).astype(np.float32).tobytes()
 
     def test_empty_audio(self):
         with pytest.raises(EmptyAudioError):
@@ -101,6 +107,54 @@ class TestResample:
         taps = _resample_filter(up, down)
         assert taps is _resample_filter(up, down)
         assert not taps.flags.writeable
+
+
+# Samples that stress a float64 channel sum: signed zeros, tiny and huge
+# magnitudes that cancel or absorb each other, and plain audio values.
+_DOWNMIX_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 2.0**-60, -(2.0**-60), 1.0, -1.0, 2.0**100, -(2.0**100), 1e-45]),
+    st.floats(-1.0, 1.0, width=32),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(1, 16), st.integers(1, 12), st.data())
+@example(1, 3, None)
+@example(7, 2, None)
+@example(8, 2, None)
+@example(8, 1, "cancel")
+def test_downmix_equals_float64_channel_mean(n_channels, n, data):
+    if data is None:  # every value -0.0: a signed zero must come out as mean's
+        samples = np.full((n, n_channels), -0.0, np.float32)
+    elif data == "cancel":  # added in channel order this is 0.0; numpy's mean gives 0.1875
+        samples = np.array([[0.5, 2.0**-30, 1.0, 2.0**-60, 3.0, 2.0**100, -1.0, -(2.0**100)]], np.float32)
+    else:
+        values = st.lists(_DOWNMIX_VALUES, min_size=n * n_channels, max_size=n * n_channels)
+        samples = np.array(data.draw(values), np.float32).reshape(n, n_channels)
+    # The form it replaces: numpy's float64 mean over each row, cast to float32.
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = samples.mean(axis=1, dtype=np.float64).astype(np.float32)
+        got = _downmix(samples)
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_channels", range(1, 17))
+def test_downmix_of_a_long_clip_equals_float64_channel_mean(n_channels):
+    # Longer than numpy's 8192-value buffers, so a row mean crosses them. A
+    # float32 row of plain values sums exactly in float64 in any order, so a
+    # third of the rows also hold +2**100 and -2**100, which absorb the rest
+    # or not depending on the order of the adds.
+    rng = np.random.default_rng(n_channels)
+    samples = rng.uniform(-1, 1, (20011, n_channels)).astype(np.float32)
+    samples *= np.float32(2.0) ** rng.integers(-60, 20, samples.shape)
+    if n_channels > 1:
+        rows = np.arange(0, 20011, 3)
+        big = rng.permuted(np.tile(np.arange(n_channels), (rows.size, 1)), axis=1)[:, :2]
+        samples[rows, big[:, 0]] = 2.0**100
+        samples[rows, big[:, 1]] = -(2.0**100)
+    want = samples.mean(axis=1, dtype=np.float64).astype(np.float32)
+    assert _downmix(samples).tobytes() == want.tobytes()
 
 
 class TestMelScale:
@@ -254,6 +308,27 @@ class TestCachedProjection:
             assert got.shape == (1, cfg.n_mels, n_frames)
             np.testing.assert_array_equal(got.data[0], _dense_log_mel(samples, padded)[2])
 
+    @pytest.mark.parametrize(
+        "cfg", [_PROJECTION_CONFIGS[0], _PROJECTION_CONFIGS[5], MelConfig(n_fft=511, win_length=400)],
+        ids=["default", "nfft512", "nfft511"],
+    )
+    @pytest.mark.parametrize("length", ["n_fft", "pad_to_seconds", "pad_to_seconds+1"])
+    def test_padding_edges_match_dense_reference(self, cfg, length):
+        # _dense_log_mel pads with np.pad: zeros to pad_to_seconds, then n_fft // 2
+        # reflected samples at each end. At n = n_fft the reflection reaches
+        # almost the whole clip; at pad_to_seconds no zeros are added.
+        pad_s = 0.25
+        n = {"n_fft": cfg.n_fft, "pad_to_seconds": int(pad_s * SR), "pad_to_seconds+1": int(pad_s * SR) + 1}
+        rng = np.random.default_rng(7)
+        samples = rng.normal(scale=0.1, size=n[length]).astype(np.float32)
+        padded = dataclasses.replace(cfg, pad_to_seconds=0.0 if length == "n_fft" else pad_s)
+        got = log_mel(AudioClip(samples, SR), padded)
+        np.testing.assert_array_equal(got.data[0], _dense_log_mel(samples, padded)[2])
+        if length == "n_fft":  # also as the shortest clip padded up to n_fft
+            short = dataclasses.replace(cfg, pad_to_seconds=cfg.n_fft / SR)
+            got = log_mel(AudioClip(samples[: cfg.n_fft // 3], SR), short)
+            np.testing.assert_array_equal(got.data[0], _dense_log_mel(samples[: cfg.n_fft // 3], short)[2])
+
     def test_ten_second_clip_peak_memory(self):
         cfg = MelConfig()
         clip = AudioClip(_benchmark_like_clips()[1], SR)
@@ -312,6 +387,24 @@ class TestWavIO:
         back = read_wav(path)
         assert back.samples.shape == stereo.shape
         np.testing.assert_allclose(back.samples, stereo, atol=1e-7)
+
+    def test_ten_second_stereo_pcm16_peak_memory(self, tmp_path):
+        samples = np.random.default_rng(4).uniform(-1, 1, (441000, 2)).astype(np.float32)
+        path = tmp_path / "st.wav"
+        write_wav(path, AudioClip(samples, 44100), "pcm16")
+        size = path.stat().st_size
+        read_wav(path)
+        tracemalloc.start()
+        try:
+            clip = read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The file's bytes, the float32 samples and AudioClip's bool finite
+        # check (a quarter of the samples): no copy of the 1.76 MB data chunk
+        # and no second float array.
+        bound = size + 1.3 * clip.samples.nbytes
+        assert peak < bound, f"read_wav peaked at {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f}"
 
     def test_rejects_non_wav(self, tmp_path):
         path = tmp_path / "x.wav"

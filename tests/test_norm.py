@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sedtk.core import FeatureMap
 from sedtk.errors import InvalidParameterError, ShapeMismatchError
@@ -178,3 +180,63 @@ class TestParams:
 
     def test_default_eps(self):
         assert AdaResNormParams(a=0.5, b=1.0, c=0.0).eps == 1e-5
+
+
+# The formulas ada_res_norm and ada_res_norm_grad had before they reused
+# buffers, kept as the reference their outputs must equal bit for bit.
+
+def _whiten_ref(data, eps):
+    x = data.astype(np.float64)
+    mu = x.mean(axis=(0, 2), dtype=np.float64, keepdims=True)
+    var = x.var(axis=(0, 2), dtype=np.float64, keepdims=True)
+    s = np.sqrt(var + eps)
+    return x, (x - mu) / s, s
+
+
+def _ada_res_norm_ref(data, a, b, c, eps):
+    x, y, _ = _whiten_ref(data, eps)
+    return ((a * x + (1.0 - a) * y) * b + c).astype(np.float32)
+
+
+def _ada_res_norm_grad_ref(data, a, b, eps, upstream):
+    u = np.asarray(upstream, dtype=np.float64)
+    x, y, s = _whiten_ref(data, eps)
+    d_c = u.sum()
+    d_b = (u * (a * x + (1.0 - a) * y)).sum()
+    d_a = b * (u * (x - y)).sum()
+    g = (1.0 - a) * b * u
+    g_mean = g.mean(axis=(0, 2), keepdims=True)
+    gy_mean = (g * y).mean(axis=(0, 2), keepdims=True)
+    d_input = a * b * u + (g - g_mean - y * gy_mean) / s
+    return float(d_a), float(d_b), float(d_c), d_input
+
+
+@st.composite
+def _norm_case(draw):
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    data = (rng.normal(draw(st.sampled_from([0.0, -20.0, 1e3])), scale, size=shape)).astype(np.float32)
+    if draw(st.booleans()):
+        data[:, rng.integers(shape[1])] = draw(st.sampled_from([0.0, -0.0, 7.5]))  # a constant bin
+    params = st.one_of(st.sampled_from([0.0, 1.0, 0.5, -0.25, 1.5]), st.floats(-3, 3))
+    a, b, c = draw(params), draw(params), draw(params)
+    eps = draw(st.sampled_from([1e-5, 1e-12, 0.5]))
+    upstream = rng.normal(size=shape).astype(draw(st.sampled_from([np.float32, np.float64])))
+    return data, AdaResNormParams(a, b, c, eps), upstream
+
+
+@settings(deadline=None, max_examples=300)
+@given(_norm_case())
+def test_ada_res_norm_and_grad_equal_the_unbuffered_formulas(case):
+    data, params, upstream = case
+    a, b, c, eps = params.a, params.b, params.c, params.eps
+    fmap = FeatureMap(data)
+    out = ada_res_norm(fmap, params)
+    assert out.data.tobytes() == _ada_res_norm_ref(data, a, b, c, eps).tobytes()
+    before = upstream.copy()
+    g = ada_res_norm_grad(fmap, params, upstream)
+    d_a, d_b, d_c, d_input = _ada_res_norm_grad_ref(data, a, b, eps, upstream)
+    assert np.array([g.d_a, g.d_b, g.d_c]).tobytes() == np.array([d_a, d_b, d_c]).tobytes()
+    assert g.d_input.dtype == np.float64 and g.d_input.tobytes() == d_input.tobytes()
+    assert upstream.tobytes() == before.tobytes()  # the caller's array is not a buffer

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from sedtk.core import DomainTag, FeatureMap, make_batch
 from sedtk.errors import InvalidParameterError
-from sedtk.stats import bin_moments, chan_stats, export_stats, freq_stats
+from sedtk import stats
+from sedtk.stats import FreqStats, bin_moments, centred_moments, chan_stats, export_stats, freq_stats
 
 
 def _loop_freq_stats(data):
@@ -49,6 +50,57 @@ def test_bin_moments_of_a_batch_equal_per_item_stats():
         ch = chan_stats(FeatureMap(x))
         np.testing.assert_array_equal(ch.mu, x.mean(axis=(1, 2), dtype=np.float64))
         np.testing.assert_array_equal(ch.sigma, x.std(axis=(1, 2), dtype=np.float64))
+
+
+# Values that stress a float64 sum of float32 or float64 data: signed zeros,
+# subnormals and wide magnitudes, mixed with noise of a drawn scale and offset.
+_MOMENT_VALUES = np.array([0.0, -0.0, 1e-45, -1e-45, 2.0**-60, 1.0, -1.0, 2.0**100, -(2.0**100), 3.4e38])
+
+
+def _wide_float32(shape, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-1, 1, shape) * 2.0 ** rng.integers(-40, 40, shape)).astype(np.float32)
+
+
+@st.composite
+def _moment_case(draw):
+    """An array, float32 or float64, and one of the axis pairs the library reduces over."""
+    axis = draw(st.sampled_from([(0, 2), (1, 3), (1, 2)]))
+    ndim = 4 if axis == (1, 3) else 3
+    shape = tuple(draw(st.integers(1, 4 if i < ndim - 1 else 700)) for i in range(ndim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale, offset = 10.0 ** draw(st.integers(-40, 30)), draw(st.sampled_from([0.0, 1e4, -3.0]))
+    x = rng.normal(offset, scale, size=shape)
+    special = rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+    x[special] = rng.choice(_MOMENT_VALUES, size=int(special.sum()))
+    return x.astype(draw(st.sampled_from([np.float32, np.float64]))), axis
+
+
+@settings(deadline=None, max_examples=400)
+@given(_moment_case())
+@example((np.full((1, 128, 626), 3.25, np.float32), (0, 2)))
+@example((np.linspace(-5, 5, 2 * 3 * 5 * 700).reshape(2, 3, 5, 700), (1, 3)))
+# Rows past numpy's 8192-value cast buffers: a float32 sum in float64 then
+# differs from the sum of a float64 copy, and the helper must take the former.
+@example((_wide_float32((1, 3, 20000), 0), (0, 2)))
+@example((_wide_float32((1, 1, 3, 30000), 1), (1, 3)))
+def test_centred_moments_equal_mean_and_var(case):
+    # The forms they replace: x.mean and x.var in float64, and x minus that mean.
+    x, axis = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, var, centred = centred_moments(x, axis)
+        want_mu = x.mean(axis=axis, dtype=np.float64, keepdims=True)
+        want_var = x.var(axis=axis, dtype=np.float64, keepdims=True)
+        want_centred = x - want_mu
+        assert mu.tobytes() == want_mu.tobytes() and mu.shape == want_mu.shape
+        assert var.tobytes() == want_var.tobytes() and var.shape == want_var.shape
+        assert centred.dtype == np.float64 and centred.tobytes() == want_centred.tobytes()
+        assert [m.tobytes() for m in bin_moments(x, axis)] == [mu.tobytes(), var.tobytes()]
+        x64 = x.astype(np.float64)
+        mu_out, var_out, centred_out = centred_moments(x64, axis, out=x64)
+        assert centred_out is x64
+        assert x64.tobytes() == (x.astype(np.float64) - mu_out).tobytes()
+        assert var_out.tobytes() == x.astype(np.float64).var(axis=axis, keepdims=True).tobytes()
 
 
 class TestFreqStats:
@@ -191,3 +243,47 @@ class TestExport:
     def test_bad_which(self, tmp_path):
         with pytest.raises(InvalidParameterError):
             export_stats(self._batch(), "channels", tmp_path / "x.csv")
+
+
+def _f_string_rows(tags, vectors):
+    """The writer export_stats replaced: one f-string per value, joined by commas."""
+    return "".join(
+        tag.name + "," + ",".join(f"{v:.9g}" for v in np.concatenate([st_.mu, st_.sigma])) + "\n"
+        for tag, st_ in zip(tags, vectors)
+    )
+
+
+_EXPORT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 3.4e38, -3.4e38, 5e-324, 1.0, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.integers(1, 6), st.data())
+def test_export_rows_spell_values_as_the_f_string_join(tmp_path_factory, n, f, data):
+    tags = [DomainTag(t) for t in data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))]
+    vec = st.lists(_EXPORT_VALUES, min_size=f, max_size=f).map(np.array)
+    vectors = [FreqStats(mu=data.draw(vec), sigma=np.abs(data.draw(vec))) for _ in range(n)]
+    batch = make_batch([FeatureMap(np.zeros((1, f, 2), np.float32))] * n, tags)
+    out = tmp_path_factory.mktemp("stats") / "stats.csv"
+    drawn = iter(vectors)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "freq_stats", lambda fmap: next(drawn))
+        export_stats(batch, "frequency", out)
+    assert out.read_bytes() == _f_string_rows(tags, vectors).encode()
+
+
+@pytest.mark.parametrize("which", ["frequency", "channel"])
+def test_export_rows_of_a_batch_equal_the_f_string_join(tmp_path, which):
+    rng = np.random.default_rng(11)
+    data = rng.normal(size=(5, 2, 6, 30)).astype(np.float32) * 10.0 ** rng.integers(-30, 30, (5, 1, 6, 1))
+    data[1] = 0.0  # constant bins: sigma 0
+    data[2, :, 3] = -3.4e38
+    data[3, :, :2] = 1e-45
+    tags = [DomainTag.DESED] * 3 + [DomainTag.MAESTRO] * 2
+    batch = make_batch([FeatureMap(d) for d in data], tags)
+    export_stats(batch, which, tmp_path / "stats.csv")
+    rule = freq_stats if which == "frequency" else chan_stats
+    want = _f_string_rows(batch.tags, [rule(m) for m in batch.maps])
+    assert (tmp_path / "stats.csv").read_bytes() == want.encode()
