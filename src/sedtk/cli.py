@@ -9,9 +9,11 @@ Subcommands:
     evaluate     event-level PSDS and/or segment-level mpAUC reports
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
-stderr; stdout carries only the report. Any flag may also be supplied via
-``--config file`` holding key=value lines (explicit flags win). All
-randomness is seeded through ``--seed``.
+stderr, first a ``config:`` line of every option that has a value; stdout
+carries only the report. An option with a default takes its flag, else its
+line of the key=value ``--config file`` (every subcommand but tune-sebb),
+else its default; a ``--config`` key naming no such option is a usage
+error. Only ``augment`` draws random numbers, seeded through its ``--seed``.
 """
 
 from __future__ import annotations
@@ -37,16 +39,23 @@ from .frontend import MelConfig, log_mel, read_wav, resample_to_mono_16k
 
 _DOMAINS = [name.lower() for name in DomainTag.__members__]
 
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors become exit code 1, not 2
         raise UsageError(message)
 
-    def add_argument(self, *args, **kwargs):
-        """Add an option; the parsed namespace's ``flags`` maps its dest to its first flag."""
+    def add_argument(self, *args, default=None, **kwargs):
+        """Add an argument and list it, in order, in the namespace's ``options``.
+
+        Argparse leaves an option it is not given None; ``_resolve`` then
+        sets it from its ``--config`` line, else from ``default``.
+        """
         action = super().add_argument(*args, **kwargs)
-        if action.option_strings:
-            flags = self.get_default("flags") or {}
-            self.set_defaults(flags={**flags, action.dest: action.option_strings[0]})
+        if action.default is not argparse.SUPPRESS:  # not --help
+            if default is not None:
+                action.help = f"{action.help or ''} (default {default})".lstrip()
+            options = self.get_default("options") or []
+            self.set_defaults(options=[*options, (action, default)])
         return action
 
 
@@ -75,21 +84,33 @@ def _cast(cast, key: str, value: str, where: str):
         ) from None
 
 
-def _resolve(args, cfg: dict[str, tuple[str, str]], name: str, default, cast):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        return _cast(cast, name, *cfg[name])
-    return default
-
-
-def _at(args, cfg: dict[str, tuple[str, str]], name: str) -> str:
-    """Where option ``name`` was set, as a message prefix: ``--flag: ``, the
-    ``path:line: `` of its ``--config`` line, or ``""`` for its default."""
-    if getattr(args, name, None) is not None:
-        return f"{args.flags[name]}: "
-    return f"{cfg[name][1]}: " if name in cfg else ""
+def _resolve(args) -> None:
+    """Set every option that has a default from its flag, else its ``--config``
+    line, else its default, cast by its flag's type and checked against its
+    choices. ``args.at`` maps each to where it was set, as a message prefix:
+    ``--flag: ``, ``path:line: `` or ``""``.
+    """
+    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    settable = {action.dest: (action, default) for action, default in args.options
+                if default is not None}
+    for key, (_, where) in cfg.items():
+        if key not in settable:
+            raise UsageError(f"{where}: unknown key {key!r}, expected one of {list(settable)}")
+    args.at = {}
+    for key, (action, default) in settable.items():
+        if getattr(args, key) is not None:
+            args.at[key] = f"{action.option_strings[0]}: "
+        elif key in cfg:
+            value, where = cfg[key]
+            setattr(args, key, _cast(action.type or str, key, value, where))
+            if action.choices is not None and getattr(args, key) not in action.choices:
+                raise UsageError(
+                    f"{where}: {key}={value!r} is not one of {', '.join(action.choices)}"
+                )
+            args.at[key] = f"{where}: "
+        else:
+            setattr(args, key, default)
+            args.at[key] = ""
 
 
 def _check(where: str, build, *args, **kwargs) -> None:
@@ -100,15 +121,25 @@ def _check(where: str, build, *args, **kwargs) -> None:
         raise UsageError(f"{where}{exc}") from None
 
 
-def _log_config(name: str, resolved: dict) -> None:
-    pairs = " ".join(f"{k}={v}" for k, v in resolved.items())
-    print(f"config: subcommand={name} {pairs}", file=sys.stderr)
+def _log_config(args) -> None:
+    """Every option but ``--config`` that has a value, in declaration order."""
+    pairs = " ".join(
+        f"{'in' if action.option_strings[0] == '--in' else action.dest}={value}"
+        for action, _ in args.options
+        if action.dest != "config" and (value := getattr(args, action.dest)) is not None
+    )
+    print(f"config: subcommand={args.command} {pairs}", file=sys.stderr)
+
+
+# Each CsebbConfig field and its default; postprocess's option for a field has its name.
+_CSEBB_DEFAULTS = {
+    key: getattr(sebb.CsebbConfig, key) for key in sebb.CsebbConfig.__dataclass_fields__
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument("--config", help="key=value file supplying any flag")
+    common.add_argument("--config", help="key=value file setting any option with a default")
 
     parser = _Parser(prog="sedtk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -116,79 +147,62 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", parents=[common], help="extract log-mel features")
     p.add_argument("--in", dest="in_dir", required=True, help="directory of WAV files")
     p.add_argument("--out", required=True, help="output .fmt path")
-    p.add_argument("--n-mels", dest="n_mels", type=int, default=None)
-    p.add_argument("--pad-seconds", dest="pad_seconds", type=float, default=None)
-    p.add_argument(
-        "--domain", choices=_DOMAINS, default=None,
-        help="domain tag applied to every clip (default desed)",
-    )
+    p.add_argument("--n-mels", dest="n_mels", type=int, default=MelConfig.n_mels)
+    p.add_argument("--pad-seconds", dest="pad_seconds", type=float,
+                   default=MelConfig.pad_to_seconds)
+    p.add_argument("--domain", choices=_DOMAINS, default="desed",
+                   help="domain tag applied to every clip")
 
     p = sub.add_parser("stats", parents=[common], help="export statistic vectors")
     p.add_argument("--in", dest="in_fmt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--which", choices=["frequency", "channel"], default=None)
+    p.add_argument("--which", choices=["frequency", "channel"], default="frequency")
 
     p = sub.add_parser("augment", parents=[common], help="mix feature statistics")
     p.add_argument("--in", dest="in_fmt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--p", type=float, default=None, help="application probability")
-    p.add_argument("--alpha", type=float, default=None, help="Beta coefficient")
-    p.add_argument("--eps", type=float, default=None, help="division guard")
+    mix = mixstyle.MixStyleConfig
+    p.add_argument("--p", type=float, default=mix.p, help="application probability")
+    p.add_argument("--alpha", type=float, default=mix.alpha, help="Beta coefficient")
+    p.add_argument("--eps", type=float, default=mix.eps, help="division guard")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
 
     p = sub.add_parser("postprocess", parents=[common], help="scores -> events")
     p.add_argument("--scores", required=True, help="frame-score CSV")
     p.add_argument("--out", required=True, help="output event TSV")
-    p.add_argument("--filter-len", dest="filter_len", type=int, default=None)
-    p.add_argument("--merge-abs", dest="merge_threshold_abs", type=float, default=None)
-    p.add_argument("--merge-rel", dest="merge_threshold_rel", type=float, default=None)
-    p.add_argument("--boundary", dest="boundary_threshold", type=float, default=None)
-    p.add_argument(
-        "--threshold", type=float, default=None,
-        help="confidence threshold for every class (default 0.5)",
-    )
-    p.add_argument(
-        "--thresholds-file", dest="thresholds_file", default=None,
-        help="class<TAB>threshold lines overriding --threshold per class",
-    )
+    for flag, key in [("--filter-len", "filter_len"), ("--merge-abs", "merge_threshold_abs"),
+                      ("--merge-rel", "merge_threshold_rel"), ("--boundary", "boundary_threshold")]:
+        default = _CSEBB_DEFAULTS[key]
+        p.add_argument(flag, dest=key, type=type(default), default=default)
+    p.add_argument("--threshold", type=float, default=0.5,
+                   help="confidence threshold for every class")
+    p.add_argument("--thresholds-file", dest="thresholds_file",
+                   help="class<TAB>threshold lines overriding --threshold per class")
 
-    p = sub.add_parser("tune-sebb", parents=[common], help="grid-search post-processing")
+    p = sub.add_parser("tune-sebb", help="grid-search post-processing")
     p.add_argument("--scores", required=True)
     p.add_argument("--truth", required=True, help="event TSV ground truth")
     p.add_argument("--durations", required=True, help="clip_id<TAB>seconds file")
     p.add_argument("--grid", required=True, help="key=v1,v2,... file of grid axes")
-    p.add_argument("--out", default=None, help="also write the best config here")
+    p.add_argument("--out", help="also write the best config here")
 
     p = sub.add_parser("evaluate", parents=[common], help="compute metrics")
-    p.add_argument("--events", default=None, help="detected event TSV")
-    p.add_argument("--truth", default=None, help="ground-truth event TSV")
-    p.add_argument("--durations", default=None)
+    p.add_argument("--events", help="detected event TSV")
+    p.add_argument("--truth", help="ground-truth event TSV")
+    p.add_argument("--durations")
     p.add_argument("--psds", action="store_true", help="event-level PSDS")
-    p.add_argument("--segscores", default=None, help="segment-score CSV")
-    p.add_argument("--segtruth", default=None, help="segment soft/hard label CSV")
+    p.add_argument("--segscores", help="segment-score CSV")
+    p.add_argument("--segtruth", help="segment soft/hard label CSV")
     p.add_argument("--mpauc", action="store_true", help="segment-level macro pAUC")
-    p.add_argument("--max-fpr", dest="max_fpr", type=float, default=None)
-    p.add_argument(
-        "--class-map", dest="class_map", default=None,
-        help="source<TAB>target file renaming classes before --psds",
-    )
-    p.add_argument("--out", default=None, help="also write the report here")
+    p.add_argument("--max-fpr", dest="max_fpr", type=float, default=0.1)
+    p.add_argument("--class-map", dest="class_map",
+                   help="source<TAB>target file renaming classes before --psds")
+    p.add_argument("--out", help="also write the report here")
     return parser
 
 
-def cmd_features(args, cfg) -> int:
-    n_mels = _resolve(args, cfg, "n_mels", MelConfig.n_mels, int)
-    pad_seconds = _resolve(args, cfg, "pad_seconds", MelConfig.pad_to_seconds, float)
-    domain = _resolve(args, cfg, "domain", "desed", str)
-    tag = DomainTag.__members__.get(domain.upper())
-    if tag is None:  # argparse limits --domain, so the value came from --config
-        raise UsageError(
-            f"{cfg['domain'][1]}: domain={domain!r} is not one of {', '.join(_DOMAINS)}"
-        )
-    _log_config("features", {
-        "in": args.in_dir, "out": args.out, "n_mels": n_mels,
-        "pad_seconds": pad_seconds, "domain": domain, "seed": args.seed,
-    })
-    mel_cfg = MelConfig(n_mels=n_mels, pad_to_seconds=pad_seconds)
+def cmd_features(args) -> int:
+    mel_cfg = MelConfig(n_mels=args.n_mels, pad_to_seconds=args.pad_seconds)
     wavs = sorted(Path(args.in_dir).glob("*.wav"))
     if not wavs:
         raise SedtkError(f"no .wav files in {args.in_dir}")
@@ -201,34 +215,25 @@ def cmd_features(args, cfg) -> int:
         if maps[-1].shape != maps[0].shape:
             raise SedtkError(
                 f"{wav}: feature map has shape {maps[-1].shape}, but {wavs[0]} has "
-                f"{maps[0].shape}; pad_seconds={pad_seconds} pads shorter clips "
+                f"{maps[0].shape}; pad_seconds={args.pad_seconds} pads shorter clips "
                 "but never cuts longer ones"
             )
-    batch = make_batch(maps, [tag] * len(maps))
+    batch = make_batch(maps, [DomainTag[args.domain.upper()]] * len(maps))
     write_fmt(batch, args.out)
     print(f"wrote {len(maps)} feature maps to {args.out}", file=sys.stderr)
     return 0
 
 
-def cmd_stats(args, cfg) -> int:
-    which = _resolve(args, cfg, "which", "frequency", str)
-    _log_config("stats", {"in": args.in_fmt, "out": args.out, "which": which})
+def cmd_stats(args) -> int:
     batch = read_fmt(args.in_fmt)
-    n = stats.export_stats(batch, which, args.out)
+    n = stats.export_stats(batch, args.which, args.out)
     print(f"wrote {n} statistic rows to {args.out}", file=sys.stderr)
     return 0
 
 
-def cmd_augment(args, cfg) -> int:
-    p = _resolve(args, cfg, "p", mixstyle.MixStyleConfig.p, float)
-    alpha = _resolve(args, cfg, "alpha", mixstyle.MixStyleConfig.alpha, float)
-    eps = _resolve(args, cfg, "eps", mixstyle.MixStyleConfig.eps, float)
-    _log_config("augment", {
-        "in": args.in_fmt, "out": args.out, "p": p, "alpha": alpha,
-        "eps": eps, "seed": args.seed,
-    })
+def cmd_augment(args) -> int:
     batch = read_fmt(args.in_fmt)
-    mix_cfg = mixstyle.MixStyleConfig(p=p, alpha=alpha, eps=eps)
+    mix_cfg = mixstyle.MixStyleConfig(p=args.p, alpha=args.alpha, eps=args.eps)
     rng = RandomSource(args.seed)
     try:
         out = mixstyle.freq_mixstyle(batch, mix_cfg, rng)
@@ -239,46 +244,37 @@ def cmd_augment(args, cfg) -> int:
     return 0
 
 
-# Each CsebbConfig field and its default; a field's flag has the field's name.
-_CSEBB_DEFAULTS = {
-    key: getattr(sebb.CsebbConfig, key) for key in sebb.CsebbConfig.__dataclass_fields__
-}
-
-
-def _csebb_config(args, cfg) -> sebb.CsebbConfig:
-    fields = {}
-    for key, default in _CSEBB_DEFAULTS.items():
-        fields[key] = _resolve(args, cfg, key, default, type(default))
-        _check(_at(args, cfg, key), sebb.CsebbConfig, **{key: fields[key]})
-    return sebb.CsebbConfig(**fields)
-
-
-def cmd_postprocess(args, cfg) -> int:
-    csebb = _csebb_config(args, cfg)
-    threshold = _resolve(args, cfg, "threshold", 0.5, float)
+def cmd_postprocess(args) -> int:
+    for key in _CSEBB_DEFAULTS:
+        _check(args.at[key], sebb.CsebbConfig, **{key: getattr(args, key)})
+    csebb = sebb.CsebbConfig(**{key: getattr(args, key) for key in _CSEBB_DEFAULTS})
     # threshold_events checks every threshold before it looks at a box.
-    _check(_at(args, cfg, "threshold"), sebb.threshold_events, [], {}, default=threshold)
-    _log_config("postprocess", {
-        "scores": args.scores, "out": args.out,
-        **{key: getattr(csebb, key) for key in _CSEBB_DEFAULTS},
-        "threshold": threshold,
-    })
-    thresholds: dict[str, float] = {}
+    _check(args.at["threshold"], sebb.threshold_events, [], {}, default=args.threshold)
+    pairs: dict[str, tuple[str, int]] = {}
     if args.thresholds_file:
         try:
             pairs = dataio._read_tab_pairs(args.thresholds_file, "class<TAB>threshold")
         except ParseError as exc:
             raise UsageError(str(exc)) from None
-        for cls, (value, i) in pairs.items():
-            where = f"{args.thresholds_file}:{i}"
-            thresholds[cls] = _cast(float, cls, value, where)
-            _check(f"{where}: ", sebb.threshold_events, [], {cls: thresholds[cls]})
+    thresholds: dict[str, float] = {}
+    for cls, (value, i) in pairs.items():
+        where = f"{args.thresholds_file}:{i}"
+        thresholds[cls] = _cast(float, cls, value, where)
+        _check(f"{where}: ", sebb.threshold_events, [], {cls: thresholds[cls]})
     tracks = dataio.read_scores(args.scores)
+    classes = tracks[0].class_names if tracks else dataio._score_header(
+        iter(dataio._read_lines(args.scores)), args.scores
+    )[1]
+    for cls, (_, i) in pairs.items():
+        if cls not in classes:
+            raise UsageError(
+                f"{args.thresholds_file}:{i}: class {cls!r} is not a class of {args.scores}"
+            )
     events = []
     for tr in tracks:
         boxes = sebb.detect_sebbs(tr, csebb)
         events.extend(
-            sebb.threshold_events(boxes, thresholds, clip_id=tr.clip_id, default=threshold)
+            sebb.threshold_events(boxes, thresholds, clip_id=tr.clip_id, default=args.threshold)
         )
     dataio.write_events(events, args.out)
     print(f"wrote {len(events)} events to {args.out}", file=sys.stderr)
@@ -302,11 +298,7 @@ def _parse_grid(path) -> dict[str, list]:
     return grid
 
 
-def cmd_tune_sebb(args, cfg) -> int:
-    _log_config("tune-sebb", {
-        "scores": args.scores, "truth": args.truth,
-        "durations": args.durations, "grid": args.grid,
-    })
+def cmd_tune_sebb(args) -> int:
     grid = _parse_grid(args.grid)
     tracks = _read_score_rows(args.scores)
     annos = dataio.read_annotations(args.truth)
@@ -362,18 +354,13 @@ def _segment_arrays(score_tracks, truth_tracks, scores_path, truth_path):
     return seg_scores, np.concatenate([g[:, columns] for g in labels.values()]), classes
 
 
-def cmd_evaluate(args, cfg) -> int:
-    max_fpr = _resolve(args, cfg, "max_fpr", 0.1, float)
-    if not 0 < max_fpr <= 1:  # False for NaN
-        where = "--max-fpr" if args.max_fpr is not None else f"{cfg['max_fpr'][1]}: max_fpr"
-        raise UsageError(f"{where} must be in (0, 1], got {max_fpr}")
+def cmd_evaluate(args) -> int:
+    if not 0 < args.max_fpr <= 1:  # False for NaN
+        at = args.at["max_fpr"]  # the flag names itself; a --config line names its key
+        name = at.removesuffix(": ") if at.startswith("--") else f"{at}max_fpr"
+        raise UsageError(f"{name} must be in (0, 1], got {args.max_fpr}")
     if args.class_map and not args.psds:
         raise UsageError("--class-map applies to --psds only")
-    _log_config("evaluate", {
-        "events": args.events, "truth": args.truth, "durations": args.durations,
-        "psds": args.psds, "segscores": args.segscores,
-        "segtruth": args.segtruth, "mpauc": args.mpauc, "max_fpr": max_fpr,
-    })
     class_map = dataio.read_class_map(args.class_map) if args.class_map else None
     lines = []
     psds_value = None
@@ -403,7 +390,7 @@ def cmd_evaluate(args, cfg) -> int:
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = metrics.mpauc_report(scores, labels, classes, max_fpr)
+            report = metrics.mpauc_report(scores, labels, classes, args.max_fpr)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
         mpauc_value = report["mpauc"]
@@ -436,11 +423,11 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     """Parse and dispatch; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-        return _HANDLERS[args.command](args, cfg)
+        args = build_parser().parse_args(argv)
+        _resolve(args)
+        _log_config(args)
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except UsageError as exc:

@@ -158,6 +158,19 @@ def _tally(values: np.ndarray, cols: np.ndarray, n_cols: int, levels: np.ndarray
     return tally
 
 
+def _codes(keys: Sequence[tuple[str, str]]) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """A code per distinct (clip, class) key, in first-seen order, for ``_match_counts``.
+
+    Returns the code of each key, the sorted classes and ``code_col``, the
+    column of each code's class among them.
+    """
+    codes = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    code = np.fromiter(map(codes.__getitem__, keys), dtype=np.intp, count=len(keys))
+    classes = sorted({cls for _, cls in codes})
+    column = {cls: j for j, cls in enumerate(classes)}
+    return code, classes, np.array([column[cls] for _, cls in codes], dtype=np.intp)
+
+
 def _scored_counts(
     scored: Sequence[tuple[float, Event]],
     truth: Sequence[Event],
@@ -171,12 +184,7 @@ def _scored_counts(
     (len(thresholds), len(classes)) int arrays, TP and FP.
     """
     events = list(truth) + [e for _, e in scored]
-    keys = list(map(attrgetter("clip_id", "class_name"), events))
-    codes = {key: i for i, key in enumerate(dict.fromkeys(keys))}  # one per (clip, class)
-    code = np.fromiter(map(codes.__getitem__, keys), dtype=np.intp, count=len(keys))
-    classes = sorted({cls for _, cls in codes})
-    column = {cls: j for j, cls in enumerate(classes)}
-    code_col = np.array([column[cls] for _, cls in codes], dtype=np.intp)
+    code, classes, code_col = _codes(list(map(attrgetter("clip_id", "class_name"), events)))
     spans = np.array(list(map(attrgetter("onset_s", "offset_s"), events)), dtype=np.float64)
     on, off = spans.reshape(-1, 2).T
     conf = np.array([c for c, _ in scored], dtype=np.float64)

@@ -24,7 +24,7 @@ from .errors import (
     ScoreOutOfRangeError, UnknownClassError, UnsortedInputError,
 )
 from .metrics import (
-    AnnotationSet, Event, PsdsConfig, _match_counts, _require_durations, _staircase,
+    AnnotationSet, Event, PsdsConfig, _codes, _match_counts, _require_durations, _staircase,
     _truth_totals, psds,
     psd_roc,  # not called here; perfbench/spans.py times it at this name too
 )
@@ -368,20 +368,17 @@ def tune_csebb(
     # score row; row r of the rows of all tracks belongs to track row_track[r].
     psds_cfg = PsdsConfig()
     hours, eval_classes, n_truth = _truth_totals(truth)
-    codes: dict[tuple[str, str], int] = {}
-    t_code = [codes.setdefault((e.clip_id, e.class_name), len(codes)) for e in truth.events]
-    row_code = [codes.setdefault((tr.clip_id, c), len(codes))
-                for tr in tracks for c in tr.class_names]
-    classes = sorted({cls for _, cls in codes})
-    column = {cls: j for j, cls in enumerate(classes)}
-    code_col = np.array([column[cls] for _, cls in codes], dtype=np.intp)
-    eval_cols = [column[cls] for cls in eval_classes]
+    code, classes, code_col = _codes(
+        [(e.clip_id, e.class_name) for e in truth.events]
+        + [(tr.clip_id, c) for tr in tracks for c in tr.class_names]
+    )
+    eval_cols = [classes.index(cls) for cls in eval_classes]
     coded_truth = (
-        np.array(t_code, dtype=np.intp),
+        code[: len(truth.events)],
         np.array([e.onset_s for e in truth.events], dtype=np.float64),
         np.array([e.offset_s for e in truth.events], dtype=np.float64),
     )
-    row_code = np.array(row_code, dtype=np.intp)
+    row_code = code[len(truth.events) :]
     row_col = code_col[row_code]
     row_track = np.repeat(np.arange(len(tracks)), [len(tr.class_names) for tr in tracks])
     row_hop = np.array([tr.hop_seconds for tr in tracks])[row_track]

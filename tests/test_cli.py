@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sedtk.cli import run
+from sedtk.cli import _resolve, build_parser, run
 from sedtk.core import DomainTag, FeatureMap, make_batch, read_fmt, write_fmt
 from sedtk.dataio import write_durations, write_events, write_scores
 from sedtk.frontend import AudioClip, write_wav
@@ -70,7 +70,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, flag, expected",
         [
-            ("features", "--in", "n_mels=128 pad_seconds=10.0 domain=desed seed=0"),
+            ("features", "--in", "n_mels=128 pad_seconds=10.0 domain=desed"),
             ("augment", "--in", "p=0.5 alpha=0.6 eps=1e-05 seed=0"),
             ("postprocess", "--scores", "filter_len=21 merge_threshold_abs=0.15 "
              "merge_threshold_rel=1.5 boundary_threshold=0.1 threshold=0.5"),
@@ -94,6 +94,124 @@ class TestExitCodes:
             "frontend.resample_to_mono_16k(frontend.AudioClip(np.zeros(4410, np.float32), 44100))\n"
         ))
         assert proc.returncode == 0, proc.stderr
+
+
+def _missing_input_argv(tmp_path, command):
+    """A command line whose input file is missing: the run logs its config, then exits 2."""
+    missing = str(tmp_path / "missing")
+    return {
+        "features": ["features", "--in", missing, "--out", str(tmp_path / "f.fmt")],
+        "stats": ["stats", "--in", missing, "--out", str(tmp_path / "s.csv")],
+        "augment": ["augment", "--in", missing, "--out", str(tmp_path / "a.fmt")],
+        "postprocess": ["postprocess", "--scores", missing, "--out", str(tmp_path / "ev.tsv")],
+        "tune-sebb": ["tune-sebb", "--scores", missing, "--truth", missing,
+                      "--durations", missing, "--grid", missing],
+        "evaluate": ["evaluate", "--mpauc", "--segscores", missing, "--segtruth", missing],
+    }[command]
+
+
+class TestOptionResolver:
+    """Every option with a default takes its flag, else its --config line, else the default."""
+
+    # command, flag, config key, a value other than the default, the default
+    OPTIONS = [
+        ("features", "--n-mels", "n_mels", "16", 128),
+        ("features", "--pad-seconds", "pad_seconds", "2.5", 10.0),
+        ("features", "--domain", "domain", "maestro", "desed"),
+        ("stats", "--which", "which", "channel", "frequency"),
+        ("augment", "--p", "p", "0.25", 0.5),
+        ("augment", "--alpha", "alpha", "0.3", 0.6),
+        ("augment", "--eps", "eps", "0.001", 1e-5),
+        ("augment", "--seed", "seed", "7", 0),
+        ("postprocess", "--filter-len", "filter_len", "5", 21),
+        ("postprocess", "--merge-abs", "merge_threshold_abs", "0.2", 0.15),
+        ("postprocess", "--merge-rel", "merge_threshold_rel", "2.5", 1.5),
+        ("postprocess", "--boundary", "boundary_threshold", "0.3", 0.1),
+        ("postprocess", "--threshold", "threshold", "0.7", 0.5),
+        ("evaluate", "--max-fpr", "max_fpr", "0.2", 0.1),
+    ]
+    COMMANDS = ["features", "stats", "augment", "postprocess", "tune-sebb", "evaluate"]
+
+    @staticmethod
+    def _resolved(argv):
+        args = build_parser().parse_args(argv)
+        _resolve(args)
+        return args
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_the_table_lists_every_option_with_a_default(self, tmp_path, command):
+        args = build_parser().parse_args(_missing_input_argv(tmp_path, command))
+        settable = {action.dest for action, default in args.options if default is not None}
+        assert settable == {key for cmd, _, key, _, _ in self.OPTIONS if cmd == command}
+
+    @pytest.mark.parametrize("command, flag, key, value, default", OPTIONS)
+    def test_flag_and_config_resolve_alike(self, tmp_path, capsys, command, flag, key, value,
+                                           default):
+        argv = _missing_input_argv(tmp_path, command)
+        cfg = tmp_path / "values.cfg"
+        cfg.write_text(f"# set by file\n{key} = {value}\n")
+        ways = {"flag": [flag, value], "config": ["--config", str(cfg)], "default": []}
+        resolved, logged = {}, {}
+        for way, extra in ways.items():
+            resolved[way] = getattr(self._resolved(argv + extra), key)
+            assert run(argv + extra) == 2  # logged, then the missing input is read
+            (line,) = [l for l in capsys.readouterr().err.splitlines() if l.startswith("config:")]
+            logged[way] = line
+        assert resolved["flag"] == resolved["config"] == type(default)(value)
+        assert type(resolved["config"]) is type(default)
+        assert resolved["default"] == default
+        assert logged["flag"] == logged["config"]
+        assert f" {key}={type(default)(value)}" in logged["flag"]
+        assert f" {key}={default}" in logged["default"]
+        assert logged["default"].startswith(f"config: subcommand={command} ")
+
+    def test_flag_wins_over_config(self, tmp_path):
+        cfg = tmp_path / "values.cfg"
+        cfg.write_text("filter_len=5\n")
+        argv = _missing_input_argv(tmp_path, "postprocess") + ["--config", str(cfg)]
+        args = self._resolved(argv + ["--filter-len", "7"])
+        assert args.filter_len == 7
+        assert args.at["filter_len"] == "--filter-len: "
+        assert self._resolved(argv).at["filter_len"] == f"{cfg}:1: "
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key)
+        for command in ["features", "stats", "augment", "postprocess", "evaluate"]
+        for key in ["window", "seed", "out", "config"]
+        if (command, key) != ("augment", "seed")
+    ])
+    def test_unknown_key_is_refused_at_its_line_before_input_is_read(
+        self, tmp_path, capsys, command, key
+    ):
+        cfg = tmp_path / "values.cfg"
+        cfg.write_text(f"# options\n{key}=3\n")
+        code = run(_missing_input_argv(tmp_path, command) + ["--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines()[-1].startswith(
+            f"usage error: {cfg}:2: unknown key {key!r}, expected one of ["
+        )
+        assert "config:" not in captured.err  # refused before the run starts
+        assert os.listdir(tmp_path) == ["values.cfg"]
+
+    def test_seed_from_config_gives_the_bytes_of_the_flag(self, tmp_path, fmt_file):
+        cfg = tmp_path / "aug.cfg"
+        cfg.write_text("p=1\nseed=7\n")
+        by_flag, by_config, unseeded = (tmp_path / f"{n}.fmt" for n in ("f", "c", "u"))
+        base = ["augment", "--in", str(fmt_file)]
+        assert run(base + ["--out", str(by_flag), "--p", "1", "--seed", "7"]) == 0
+        assert run(base + ["--out", str(by_config), "--config", str(cfg)]) == 0
+        assert run(base + ["--out", str(unseeded), "--p", "1"]) == 0
+        assert by_config.read_bytes() == by_flag.read_bytes()
+        assert by_config.read_bytes() != unseeded.read_bytes()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_0_and_only_augment_takes_a_seed(self, capsys, command):
+        assert run([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: sedtk {command} ")
+        assert ("--seed" in text) == (command == "augment")
+        assert ("--config" in text) == (command != "tune-sebb")
 
 
 class TestScipyLoading:
@@ -527,6 +645,36 @@ class TestPostprocessAndTune:
         run(["postprocess", "--scores", str(scores), "--out", str(out), "--threshold", "0.95"])
         assert len(out.read_text().splitlines()) == 1  # header only
 
+    def test_thresholds_file_moves_only_its_class(self, tmp_path):
+        s = np.zeros((2, 200))
+        s[0, 40:120] = s[1, 130:180] = 0.7
+        scores = tmp_path / "scores.csv"
+        write_scores([ScoreTrack(s, 0.02, ("dog", "cat"), "a")], scores)
+        per_class = tmp_path / "thresholds.tsv"
+        out = {name: tmp_path / f"{name}.tsv" for name in ("all", "raised", "lowered")}
+        argv = ["postprocess", "--scores", str(scores), "--thresholds-file", str(per_class)]
+        per_class.write_text("# per class\ncat\t0.5\n")
+        assert run(argv + ["--out", str(out["all"])]) == 0
+        per_class.write_text("dog\t0.9\n")
+        assert run(argv + ["--out", str(out["raised"])]) == 0
+        per_class.write_text("dog\t0.6\n")
+        assert run(argv + ["--out", str(out["lowered"]), "--threshold", "0.9"]) == 0
+        header, *rows = out["all"].read_text().splitlines()
+        assert sorted(row.split("\t")[3] for row in rows) == ["cat", "dog"]
+        for name, kept in [("raised", "cat"), ("lowered", "dog")]:
+            assert out[name].read_text().splitlines() == [header] + [
+                row for row in rows if row.endswith(f"\t{kept}")
+            ]
+
+    @pytest.mark.parametrize("cls, code", [("dog", 0), ("cat", 1)])
+    def test_thresholds_file_classes_of_a_score_file_without_rows(self, tmp_path, cls, code):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("# hop_seconds=0.02\nclip_id,frame,dog\n")
+        per_class = tmp_path / "thresholds.tsv"
+        per_class.write_text(f"{cls}\t0.3\n")
+        assert run(["postprocess", "--scores", str(scores), "--out", str(tmp_path / "ev.tsv"),
+                    "--thresholds-file", str(per_class)]) == code
+
     def test_tune_sebb_prints_config(self, tmp_path, capsys):
         scores = self._scores_fixture(tmp_path)
         truth = tmp_path / "truth.tsv"
@@ -575,6 +723,7 @@ class TestPostprocessAndTune:
             ("postprocess", "--thresholds-file", "Speech\t0.3\ndog\tnan\n", 2),
             ("postprocess", "--thresholds-file", "dog\t0.3\ndog\t0.9\n", 2),
             ("postprocess", "--thresholds-file", "\t0.3\n", 1),
+            ("postprocess", "--thresholds-file", "dog\t0.3\nSpeach\t0.9\n", 2),
             ("features", "--config", "n_mels=16\ndomain=foo\n", 2),
             ("evaluate", "--config", "max_fpr=0\n", 1),
             ("evaluate", "--config", "# cap\nmax_fpr=nan\n", 2),
