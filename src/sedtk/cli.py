@@ -113,10 +113,10 @@ def _resolve(args) -> None:
             args.at[key] = ""
 
 
-def _check(where: str, build, *args, **kwargs) -> None:
-    """Call ``build``; a value it rejects is a UsageError prefixed by ``where``."""
+def _check(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a value it rejects is a UsageError prefixed by ``where``."""
     try:
-        build(*args, **kwargs)
+        return build(*args, **kwargs)
     except (ConfigInvalidError, InvalidParameterError) as exc:
         raise UsageError(f"{where}{exc}") from None
 
@@ -202,7 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_features(args) -> int:
-    mel_cfg = MelConfig(n_mels=args.n_mels, pad_to_seconds=args.pad_seconds)
+    _check(args.at["n_mels"], MelConfig, n_mels=args.n_mels)
+    mel_cfg = _check(
+        args.at["pad_seconds"], MelConfig, n_mels=args.n_mels, pad_to_seconds=args.pad_seconds
+    )
     wavs = sorted(Path(args.in_dir).glob("*.wav"))
     if not wavs:
         raise SedtkError(f"no .wav files in {args.in_dir}")
@@ -232,9 +235,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    batch = read_fmt(args.in_fmt)
+    for key in ("p", "alpha", "eps"):
+        _check(args.at[key], mixstyle.MixStyleConfig, **{key: getattr(args, key)})
     mix_cfg = mixstyle.MixStyleConfig(p=args.p, alpha=args.alpha, eps=args.eps)
-    rng = RandomSource(args.seed)
+    rng = _check(args.at["seed"], RandomSource, args.seed)
+    batch = read_fmt(args.in_fmt)
     try:
         out = mixstyle.freq_mixstyle(batch, mix_cfg, rng)
     except InvalidParameterError as exc:  # the order of the file's domain tags

@@ -111,40 +111,28 @@ def intersection_match(
     return {cls: (int(tp[0, j]), int(fp[0, j])) for j, cls in enumerate(classes)}
 
 
-_BLOCK_CELLS = 1 << 17  # cells of one padded block in _list_order_sums
-
-
 def _list_order_sums(terms, starts, lengths, confs=None, levels=None) -> np.ndarray:
     """Per row r, the sum of ``terms[starts[r] : starts[r] + lengths[r]]``
     added one by one in slice order; with ``levels``, only the terms whose
     ``confs`` entry is >= ``levels[r]`` count.
 
-    The rows are laid out as a zero-padded matrix and summed with a cumsum
-    along each row, which adds in order (np.sum adds pairwise past 8 terms,
-    so its rounding differs). The matrix is built a block of columns at a
-    time, about _BLOCK_CELLS cells each, with the running sums carried in as
-    its first column, so memory stays bounded however long the rows are.
+    Pass j adds the j-th term of every row that has one, so each row adds
+    its terms in order (np.sum adds pairwise past 8 terms, so its rounding
+    differs). A term that does not count adds +0.0, which leaves the sum as
+    it is: a sum that starts at +0.0 is never -0.0.
     """
-    order = np.argsort(-lengths, kind="stable")  # open rows form a prefix
-    starts, lengths = starts[order], lengths[order]
-    if levels is not None:
-        levels = levels[order, None]
     sums = np.zeros(lengths.size)
-    width = int(lengths[0]) if lengths.size else 0
-    col = 0
-    while col < width:
-        n = int(np.count_nonzero(lengths > col))
-        cols = np.arange(col, min(width, col + max(1, _BLOCK_CELLS // n)))
-        live = cols < lengths[:n, None]
-        idx = np.where(live, starts[:n, None] + cols, 0)
+    rows = np.flatnonzero(lengths)
+    j = 0
+    while rows.size:
+        at = starts[rows] + j
+        term = terms[at]
         if levels is not None:
-            live &= confs[idx] >= levels[:n]
-        block = np.where(live, terms[idx], 0.0)
-        sums[:n] = np.cumsum(np.concatenate([sums[:n, None], block], axis=1), axis=1)[:, -1]
-        col += cols.size
-    out = np.empty_like(sums)
-    out[order] = sums
-    return out
+            term = np.where(confs[at] >= levels[rows], term, 0.0)
+        sums[rows] += term
+        j += 1
+        rows = rows[lengths[rows] > j]
+    return sums
 
 
 def _tally(values: np.ndarray, cols: np.ndarray, n_cols: int, levels: np.ndarray) -> np.ndarray:
@@ -158,17 +146,24 @@ def _tally(values: np.ndarray, cols: np.ndarray, n_cols: int, levels: np.ndarray
     return tally
 
 
-def _codes(keys: Sequence[tuple[str, str]]) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """A code per distinct (clip, class) key, in first-seen order, for ``_match_counts``.
+def _coded(
+    truth: Sequence[Event], keys: Sequence[tuple[str, str]]
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, list[str], np.ndarray]:
+    """The truth events and a (clip, class) key per detection, coded for ``_match_counts``.
 
-    Returns the code of each key, the sorted classes and ``code_col``, the
+    Every distinct (clip, class) of the truth events, then of ``keys``, gets a
+    code in first-seen order. Returns the truth's ``(code, onset, offset)``
+    arrays, the code of each key, the sorted classes and ``code_col``, the
     column of each code's class among them.
     """
-    codes = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    code = np.fromiter(map(codes.__getitem__, keys), dtype=np.intp, count=len(keys))
+    every = list(map(attrgetter("clip_id", "class_name"), truth)) + list(keys)
+    codes = {key: i for i, key in enumerate(dict.fromkeys(every))}
+    code = np.fromiter(map(codes.__getitem__, every), dtype=np.intp, count=len(every))
     classes = sorted({cls for _, cls in codes})
     column = {cls: j for j, cls in enumerate(classes)}
-    return code, classes, np.array([column[cls] for _, cls in codes], dtype=np.intp)
+    code_col = np.array([column[cls] for _, cls in codes], dtype=np.intp)
+    spans = np.array(list(map(attrgetter("onset_s", "offset_s"), truth)), dtype=np.float64)
+    return (code[: len(truth)], *spans.reshape(-1, 2).T), code[len(truth) :], classes, code_col
 
 
 def _scored_counts(
@@ -183,14 +178,14 @@ def _scored_counts(
     Returns the sorted classes of ``scored`` and ``truth`` and two
     (len(thresholds), len(classes)) int arrays, TP and FP.
     """
-    events = list(truth) + [e for _, e in scored]
-    code, classes, code_col = _codes(list(map(attrgetter("clip_id", "class_name"), events)))
-    spans = np.array(list(map(attrgetter("onset_s", "offset_s"), events)), dtype=np.float64)
-    on, off = spans.reshape(-1, 2).T
+    dets = [e for _, e in scored]
+    coded_truth, code, classes, code_col = _coded(
+        truth, list(map(attrgetter("clip_id", "class_name"), dets))
+    )
+    spans = np.array(list(map(attrgetter("onset_s", "offset_s"), dets)), dtype=np.float64)
     conf = np.array([c for c, _ in scored], dtype=np.float64)
-    n = len(truth)
     tp, fp = _match_counts(
-        (code[:n], on[:n], off[:n]), (code[n:], on[n:], off[n:], conf),
+        coded_truth, (code, *spans.reshape(-1, 2).T, conf),
         code_col, len(classes), rho_dtc, rho_gtc, thresholds,
     )
     return classes, tp, fp
@@ -227,9 +222,9 @@ def _match_counts(
     falls, and the reach is the highest hit confidence whose coverage passes.
 
     Memory is linear in the same-code (detection, truth) pairs. The
-    (levels, hits) coverage of a truth event is quadratic in its hits, so it
-    is summed in blocks of about _BLOCK_CELLS cells: 3000 hits on one event
-    take a few MB, not the 9e6-cell square.
+    (levels, hits) coverage of a truth event is quadratic in its hits, but it
+    is summed one column of hits at a time: 3000 hits on one event take a
+    few arrays of 3000 entries, not the 9e6-cell square.
     """
     t_code, t_on, t_off = truth
     d_code, d_on, d_off, conf = dets
@@ -273,41 +268,37 @@ def _match_counts(
     return tp, fp
 
 
-def _truth_totals(truth: AnnotationSet) -> tuple[float, list[str], np.ndarray]:
-    """Annotated hours, the sorted classes of the truth events and their event counts."""
+def _curve(
+    classes: list[str], tp: np.ndarray, fp: np.ndarray, clips, truth: AnnotationSet,
+    cfg: PsdsConfig,
+) -> list[tuple[float, float]]:
+    """Monotone upper staircase, anchored at (0, 0), of one operating point per row.
+
+    Row r counts ``tp[r, j]`` true and ``fp[r, j]`` false positives of
+    ``classes[j]``, which holds every truth class; ``clips`` are the clip
+    ids that the detections name. eFPR is the false positives of every class
+    per hour of annotated audio, eTPR the TPR mean over the truth classes
+    minus alpha_st times their std.
+    """
     if not truth.clip_durations:
         raise InvalidParameterError("truth must carry clip durations for eFPR")
-    hours = sum(truth.clip_durations.values()) / 3600.0
-    n_truth = Counter(map(attrgetter("class_name"), truth.events))
-    eval_classes = sorted(n_truth)
-    return hours, eval_classes, np.array([n_truth[c] for c in eval_classes], dtype=np.int64)
-
-
-def _require_durations(clips, durations: Mapping[str, float]) -> None:
-    """Raise unless every clip id in ``clips`` has a duration."""
-    missing = sorted(set(clips) - durations.keys())
+    clips = set(clips).union(map(attrgetter("clip_id"), truth.events))
+    missing = sorted(clips - truth.clip_durations.keys())
     if missing:
         named = ", ".join(map(repr, missing[:5]))
         more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
         raise InvalidParameterError(f"no duration for clip {named}{more}")
-
-
-def _staircase(
-    fp_total: np.ndarray, tp: np.ndarray, n_truth: np.ndarray, hours: float, alpha_st: float
-) -> list[tuple[float, float]]:
-    """Monotone upper staircase, anchored at (0, 0), of one operating point per row.
-
-    Row r counts ``fp_total[r]`` false positives over every class and
-    ``tp[r]`` true positives per truth class, whose event counts are
-    ``n_truth``: eFPR is per hour of annotated audio, eTPR the TPR mean over
-    the truth classes minus alpha_st times their std.
-    """
-    efpr = fp_total / hours
-    if n_truth.size:
+    efpr = fp.sum(axis=1) / (sum(truth.clip_durations.values()) / 3600.0)
+    n_truth = Counter(map(attrgetter("class_name"), truth.events))
+    if n_truth:
+        eval_classes = sorted(n_truth)
         # numpy sums each row of a C-ordered array pairwise, as it sums a 1-D
         # array, but an F-ordered one (a column pick) column by column.
-        tprs = np.ascontiguousarray(tp / n_truth)
-        etpr = tprs.mean(axis=1) - alpha_st * tprs.std(axis=1)
+        tprs = np.ascontiguousarray(
+            tp[:, [classes.index(c) for c in eval_classes]]
+            / np.array([n_truth[c] for c in eval_classes], dtype=np.int64)
+        )
+        etpr = tprs.mean(axis=1) - cfg.alpha_st * tprs.std(axis=1)
     else:
         etpr = np.zeros(efpr.size)
     curve = [(0.0, 0.0)]
@@ -350,30 +341,25 @@ def psd_roc(
     normalized by the total annotated audio duration, so every clip that a
     truth event or a detection names must have a duration.
     """
-    hours, eval_classes, n_truth = _truth_totals(truth)
     if callable(detections):
         detections = [detections(t) for t in cfg.thresholds]
     detections = list(detections)
-    is_scored = _is_scored(detections)
-    events = (e for _, e in detections) if is_scored else (e for d in detections for e in d)
-    clips = set(map(attrgetter("clip_id"), events)).union(e.clip_id for e in truth.events)
-    _require_durations(clips, truth.clip_durations)
-    if is_scored:
+    if _is_scored(detections):
+        events = [e for _, e in detections]
         classes, tp, fp = _scored_counts(
             detections, truth.events, cfg.rho_dtc, cfg.rho_gtc, cfg.thresholds
         )
-        fp_total = fp.sum(axis=1)
-        tp = tp[:, [classes.index(c) for c in eval_classes]]
     else:
+        events = [e for dets in detections for e in dets]
         counts = [
             intersection_match(dets, truth.events, cfg.rho_dtc, cfg.rho_gtc)
             for dets in detections
         ]
-        fp_total = np.array([sum(fp for _, fp in c.values()) for c in counts], dtype=np.int64)
-        tp = np.array(
-            [[c[cls][0] for cls in eval_classes] for c in counts], dtype=np.int64
-        ).reshape(len(counts), len(eval_classes))
-    return _staircase(fp_total, tp, n_truth, hours, cfg.alpha_st)
+        # the truth classes have columns also when there are no lists
+        classes = sorted({e.class_name for e in truth.events}.union(*counts))
+        pairs = np.array([[c.get(cls, (0, 0)) for cls in classes] for c in counts], dtype=np.int64)
+        tp, fp = pairs.reshape(len(counts), len(classes), 2).transpose(2, 0, 1)
+    return _curve(classes, tp, fp, map(attrgetter("clip_id"), events), truth, cfg)
 
 
 def psds(curve: Sequence[tuple[float, float]], cfg: PsdsConfig = PsdsConfig()) -> float:

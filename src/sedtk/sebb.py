@@ -24,8 +24,7 @@ from .errors import (
     ScoreOutOfRangeError, UnknownClassError, UnsortedInputError,
 )
 from .metrics import (
-    AnnotationSet, Event, PsdsConfig, _codes, _match_counts, _require_durations, _staircase,
-    _truth_totals, psds,
+    AnnotationSet, Event, PsdsConfig, _coded, _curve, _match_counts, psds,
     psd_roc,  # not called here; perfbench/spans.py times it at this name too
 )
 
@@ -367,24 +366,14 @@ def tune_csebb(
     # Coded once: a code per (clip, class), for the truth events and for each
     # score row; row r of the rows of all tracks belongs to track row_track[r].
     psds_cfg = PsdsConfig()
-    hours, eval_classes, n_truth = _truth_totals(truth)
-    code, classes, code_col = _codes(
-        [(e.clip_id, e.class_name) for e in truth.events]
-        + [(tr.clip_id, c) for tr in tracks for c in tr.class_names]
+    coded_truth, row_code, classes, code_col = _coded(
+        truth.events, [(tr.clip_id, c) for tr in tracks for c in tr.class_names]
     )
-    eval_cols = [classes.index(cls) for cls in eval_classes]
-    coded_truth = (
-        code[: len(truth.events)],
-        np.array([e.onset_s for e in truth.events], dtype=np.float64),
-        np.array([e.offset_s for e in truth.events], dtype=np.float64),
-    )
-    row_code = code[len(truth.events) :]
     row_col = code_col[row_code]
     row_track = np.repeat(np.arange(len(tracks)), [len(tr.class_names) for tr in tracks])
     row_hop = np.array([tr.hop_seconds for tr in tracks])[row_track]
     rows = [row for tr in tracks for row in tr.scores]
     n_frames = np.array([row.size for row in rows], dtype=np.intp)
-    truth_clips = {e.clip_id for e in truth.events}
     # Rows of one length go through delta and boundaries in stacks of up to
     # _ROW_BLOCK rows; a block holds its rows' ids, in order.
     by_length = np.argsort(n_frames, kind="stable")
@@ -415,19 +404,13 @@ def tune_csebb(
                 # tracks in order, then each track's boxes by onset, then class
                 # name, as detect_sebbs orders them
                 order = np.lexsort((row_col[row], onset, track))
-                _require_durations(
-                    truth_clips.union(tracks[i].clip_id for i in np.unique(track).tolist()),
-                    truth.clip_durations,
-                )
                 dets = (row_code[row][order], onset[order], offset[order], conf[order])
                 tp, fp = _match_counts(
                     coded_truth, dets, code_col, len(classes),
                     psds_cfg.rho_dtc, psds_cfg.rho_gtc, psds_cfg.thresholds,
                 )
-                curve = _staircase(
-                    fp.sum(axis=1), tp[:, eval_cols], n_truth, hours, psds_cfg.alpha_st
-                )
-                value = psds(curve)
+                clips = [tracks[i].clip_id for i in np.unique(track).tolist()]
+                value = psds(_curve(classes, tp, fp, clips, truth, psds_cfg))
                 if best is None or value > best[0] + 1e-12:
                     best = (value, cfg)
     assert best is not None

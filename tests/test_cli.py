@@ -495,14 +495,14 @@ class TestFeaturesAndStats:
         return wav_dir
 
     @pytest.mark.parametrize("pad", ["nan", "inf", "-1"])
-    def test_bad_pad_seconds_is_data_error(self, tmp_path, capsys, pad):
+    def test_bad_pad_seconds_is_usage_error(self, tmp_path, capsys, pad):
         wav_dir = self._wav_dir(tmp_path, [0.5])
         out = tmp_path / "f.fmt"
         code = run(["features", "--in", str(wav_dir), "--out", str(out),
                     "--n-mels", "16", f"--pad-seconds={pad}"])
         err = capsys.readouterr().err
-        assert code == 2
-        assert "error: pad_to_seconds must be finite and >= 0" in err
+        assert code == 1
+        assert "usage error: --pad-seconds: pad_to_seconds must be finite and >= 0" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -572,6 +572,29 @@ class TestPostprocessAndTune:
         path = tmp_path / "scores.csv"
         write_scores([track], path)
         return path
+
+    def _argv(self, tmp_path, command):
+        """A command line of ``command``; the WAV and .fmt inputs fail to decode,
+        so a value error reported first was checked before any input was read."""
+        scores = self._scores_fixture(tmp_path)
+        truth, durs = tmp_path / "truth.tsv", tmp_path / "durs.tsv"
+        write_events([Event("a", "dog", 40 * 0.02, 120 * 0.02)], truth)
+        write_durations({"a": 4.0}, durs)
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        (wav_dir / "bad.wav").write_bytes(b"nope")
+        (tmp_path / "bad.fmt").write_bytes(b"nope")
+        return {
+            "tune-sebb": ["tune-sebb", "--scores", str(scores), "--truth", str(truth),
+                          "--durations", str(durs)],
+            "postprocess": ["postprocess", "--scores", str(scores),
+                            "--out", str(tmp_path / "ev.tsv")],
+            "features": ["features", "--in", str(wav_dir), "--out", str(tmp_path / "f.fmt")],
+            "augment": ["augment", "--in", str(tmp_path / "bad.fmt"),
+                        "--out", str(tmp_path / "a.fmt")],
+            "evaluate": ["evaluate", "--mpauc", "--segscores", str(tmp_path / "missing.csv"),
+                         "--segtruth", str(tmp_path / "missing.csv")],
+        }[command]
 
     @pytest.mark.parametrize("hop", ["0", "-0.02", "nan", "inf"])
     def test_bad_hop_is_data_error_at_its_line(self, tmp_path, capsys, hop):
@@ -725,6 +748,12 @@ class TestPostprocessAndTune:
             ("postprocess", "--thresholds-file", "\t0.3\n", 1),
             ("postprocess", "--thresholds-file", "dog\t0.3\nSpeach\t0.9\n", 2),
             ("features", "--config", "n_mels=16\ndomain=foo\n", 2),
+            ("features", "--config", "n_mels=0\n", 1),
+            ("features", "--config", "# pad\npad_seconds=-1\n", 2),
+            ("augment", "--config", "p=2\n", 1),
+            ("augment", "--config", "p=1\nalpha=0\n", 2),
+            ("augment", "--config", "eps=nan\n", 1),
+            ("augment", "--config", "# seed\nseed=-1\n", 2),
             ("evaluate", "--config", "max_fpr=0\n", 1),
             ("evaluate", "--config", "# cap\nmax_fpr=nan\n", 2),
             ("evaluate", "--config", "max_fpr=1.5\n", 1),
@@ -733,25 +762,9 @@ class TestPostprocessAndTune:
     def test_bad_file_value_is_usage_error(
         self, tmp_path, capsys, command, flag, text, line
     ):
-        scores = self._scores_fixture(tmp_path)
-        truth, durs = tmp_path / "truth.tsv", tmp_path / "durs.tsv"
-        write_events([Event("a", "dog", 40 * 0.02, 120 * 0.02)], truth)
-        write_durations({"a": 4.0}, durs)
         values = tmp_path / "values.cfg"
         values.write_text(text)
-        wav_dir = tmp_path / "wavs"  # a WAV that fails to decode: the value is checked first
-        wav_dir.mkdir()
-        (wav_dir / "bad.wav").write_bytes(b"nope")
-        argv = {
-            "tune-sebb": ["tune-sebb", "--scores", str(scores), "--truth", str(truth),
-                          "--durations", str(durs)],
-            "postprocess": ["postprocess", "--scores", str(scores),
-                            "--out", str(tmp_path / "ev.tsv")],
-            "features": ["features", "--in", str(wav_dir), "--out", str(tmp_path / "f.fmt")],
-            "evaluate": ["evaluate", "--mpauc", "--segscores", str(tmp_path / "missing.csv"),
-                         "--segtruth", str(tmp_path / "missing.csv")],
-        }[command]
-        code = run(argv + [flag, str(values)])
+        code = run(self._argv(tmp_path, command) + [flag, str(values)])
         captured = capsys.readouterr()
         assert code == 1
         assert f"usage error: {values}:{line}:" in captured.err
@@ -759,21 +772,37 @@ class TestPostprocessAndTune:
         assert captured.out == ""
 
     # The message names the flag, not the field it sets.
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--threshold", "2", "--threshold: default threshold must be in [0,1], got 2.0"),
-        ("--threshold", "nan", "--threshold: default threshold must be in [0,1], got nan"),
-        ("--filter-len", "4", "--filter-len: filter_len must be odd and >= 3, got 4"),
-        ("--merge-abs", "-0.5", "--merge-abs: merge_threshold_abs must be > 0, got -0.5"),
-        ("--merge-rel", "0", "--merge-rel: merge_threshold_rel must be > 0, got 0.0"),
-        ("--boundary", "nan", "--boundary: boundary_threshold must be > 0, got nan"),
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("postprocess", "--threshold", "2",
+         "--threshold: default threshold must be in [0,1], got 2.0"),
+        ("postprocess", "--threshold", "nan",
+         "--threshold: default threshold must be in [0,1], got nan"),
+        ("postprocess", "--filter-len", "4",
+         "--filter-len: filter_len must be odd and >= 3, got 4"),
+        ("postprocess", "--merge-abs", "-0.5",
+         "--merge-abs: merge_threshold_abs must be > 0, got -0.5"),
+        ("postprocess", "--merge-rel", "0",
+         "--merge-rel: merge_threshold_rel must be > 0, got 0.0"),
+        ("postprocess", "--boundary", "nan",
+         "--boundary: boundary_threshold must be > 0, got nan"),
+        ("features", "--n-mels", "0", "--n-mels: n_mels must be >= 1"),
+        ("features", "--pad-seconds", "inf",
+         "--pad-seconds: pad_to_seconds must be finite and >= 0, got inf"),
+        ("augment", "--p", "2", "--p: p must be in [0,1], got 2.0"),
+        ("augment", "--alpha", "inf", "--alpha: alpha must be finite and > 0, got inf"),
+        ("augment", "--eps", "0", "--eps: eps must be > 0, got 0.0"),
+        ("augment", "--seed", "-1", "--seed: seed must be a 64-bit unsigned integer, got -1"),
+        ("augment", "--seed", str(2**64),
+         f"--seed: seed must be a 64-bit unsigned integer, got {2**64}"),
     ])
-    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flag, value, message):
-        scores = self._scores_fixture(tmp_path)
-        out = tmp_path / "ev.tsv"
-        code = run(["postprocess", "--scores", str(scores), "--out", str(out), flag, value])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, command, flag, value,
+                                           message):
+        argv = self._argv(tmp_path, command)
+        out = Path(argv[argv.index("--out") + 1])
+        code = run(argv + [flag, value])
         captured = capsys.readouterr()
         assert code == 1
-        assert f"usage error: {message}" in captured.err
+        assert captured.err.splitlines()[-1] == f"usage error: {message}"
         assert "Traceback" not in captured.err
         assert not out.exists()
 

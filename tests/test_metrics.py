@@ -1,6 +1,7 @@
 """Intersection matching, PSDS staircases, segment labels, partial AUC."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sedtk.cli import _segment_arrays
 from sedtk.errors import DegenerateClassWarning, InvalidIntervalError, InvalidParameterError
@@ -15,6 +17,7 @@ from sedtk.metrics import (
     AnnotationSet,
     Event,
     PsdsConfig,
+    _list_order_sums,
     _scored_counts,
     intersection_match,
     joint_score,
@@ -24,7 +27,7 @@ from sedtk.metrics import (
     psds,
     segmentize,
 )
-from sedtk.sebb import ScoreTrack
+from sedtk.sebb import ScoreTrack, tune_csebb
 
 
 def _brute_partial_auc(y, s, max_fpr):
@@ -199,10 +202,25 @@ class TestPsdRoc:
                 assert etpr <= 1.0
                 assert efpr >= 0.0 and np.isfinite(efpr)
 
-    def test_requires_durations(self):
-        truth = AnnotationSet(events=[Event("a", "dog", 0.0, 1.0)])
-        with pytest.raises(InvalidParameterError):
-            psd_roc([[]], truth)
+    @pytest.mark.parametrize("durations, message", [
+        ({}, "truth must carry clip durations for eFPR"),  # the truth has no durations
+        ({"a": 4.0}, "no duration for clip 'z'"),  # a detected clip has none
+    ])
+    @pytest.mark.parametrize("form", ["lists", "callable", "scored", "tune_csebb"])
+    def test_missing_durations_are_refused_alike_on_every_path(self, form, durations, message):
+        truth = AnnotationSet(events=[Event("a", "dog", 1.2, 2.8)], clip_durations=durations)
+        dets = [Event("a", "dog", 1.2, 2.8), Event("z", "dog", 1.2, 2.8)]
+        scores = np.zeros((1, 200))
+        scores[0, 60:140] = 0.9  # one box at 1.2-2.8 s in each track
+        tracks = [ScoreTrack(scores, 0.02, ("dog",), clip) for clip in "az"]
+        run = {
+            "lists": lambda: psd_roc([dets], truth),
+            "callable": lambda: psd_roc(lambda tau: dets, truth),
+            "scored": lambda: psd_roc([(0.9, e) for e in dets], truth),
+            "tune_csebb": lambda: tune_csebb(tracks, truth, {}),
+        }[form]
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            run()
 
     @pytest.mark.parametrize("form", ["lists", "scored"])
     def test_clips_without_a_duration_are_named(self, form):
@@ -377,6 +395,64 @@ def test_many_hits_on_one_truth_event_stay_in_bounded_memory():
     ]
     assert swept == want
     assert {tp for counts in want for tp, _ in counts.values()} == {0, 1}
+
+
+def _blocked_list_order_sums(terms, starts, lengths, confs=None, levels=None,
+                             block_cells=1 << 17):
+    """The former ``_list_order_sums``: rows laid out as a zero-padded matrix and
+    summed by a cumsum along each row, a block of about ``block_cells`` cells at
+    a time, with the running sums carried in as the block's first column."""
+    order = np.argsort(-lengths, kind="stable")  # open rows form a prefix
+    starts, lengths = starts[order], lengths[order]
+    if levels is not None:
+        levels = levels[order, None]
+    sums = np.zeros(lengths.size)
+    width = int(lengths[0]) if lengths.size else 0
+    col = 0
+    while col < width:
+        n = int(np.count_nonzero(lengths > col))
+        cols = np.arange(col, min(width, col + max(1, block_cells // n)))
+        live = cols < lengths[:n, None]
+        idx = np.where(live, starts[:n, None] + cols, 0)
+        if levels is not None:
+            live &= confs[idx] >= levels[:n]
+        block = np.where(live, terms[idx], 0.0)
+        sums[:n] = np.cumsum(np.concatenate([sums[:n, None], block], axis=1), axis=1)[:, -1]
+        col += cols.size
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
+
+
+_SUM_LEVELS = [0.1, 0.25, 0.5, 0.75, 0.9]
+
+
+@st.composite
+def _sum_rows(draw):
+    """Overlap terms with their confidences, and rows of up to about 400 of them."""
+    n_terms = draw(st.integers(0, 400))
+    terms = draw(arrays(np.float64, n_terms, elements=st.one_of(
+        st.floats(1e-6, 100.0), st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0])
+    )))
+    confs = draw(arrays(np.float64, n_terms, elements=st.sampled_from(_SUM_LEVELS)))
+    row = st.integers(0, n_terms).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(0, n_terms - a))
+    )
+    rows = draw(st.lists(row, max_size=12))
+    starts = np.array([a for a, _ in rows], dtype=np.int64)
+    lengths = np.array([n for _, n in rows], dtype=np.int64)
+    levels = draw(st.none() | arrays(np.float64, len(rows), elements=st.sampled_from(_SUM_LEVELS)))
+    return terms, starts, lengths, confs, levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sum_rows(), st.sampled_from([1, 7, 1 << 17]))
+def test_column_pass_adds_as_the_blocked_cumsum_did(case, block_cells):
+    terms, starts, lengths, confs, levels = case
+    want = _blocked_list_order_sums(terms, starts, lengths, confs, levels, block_cells)
+    got = _list_order_sums(terms, starts, lengths, confs, levels)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _oracle_curve(per_tau, truth, cfg):
