@@ -34,8 +34,8 @@ for freq in (250.0, 1000.0, 4000.0):
     maps.append(fmap)
 
 batch = make_batch(maps, [DomainTag.DESED, DomainTag.DESED, DomainTag.MAESTRO])
-out = Path(tempfile.mkdtemp(prefix="sedtk_demo_")) / "freq_stats.csv"
-rows = export_stats(batch, "frequency", out)
-print(f"\nexported {rows} statistic rows (tag + mu_1..mu_F + sigma_1..sigma_F)")
-print("first row, first 6 fields:", ",".join(out.read_text().splitlines()[0].split(",")[:6]))
-print("file:", out)
+with tempfile.TemporaryDirectory(prefix="sedtk_demo_") as tmp:
+    out = Path(tmp) / "freq_stats.csv"
+    rows = export_stats(batch, "frequency", out)
+    print(f"\nexported {rows} statistic rows (tag + mu_1..mu_F + sigma_1..sigma_F)")
+    print("first row, first 6 fields:", ",".join(out.read_text().splitlines()[0].split(",")[:6]))

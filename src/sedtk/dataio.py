@@ -9,6 +9,7 @@ with a line-numbered error rather than silently accepting part of a file.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -251,105 +252,125 @@ def _score_header(lines, path) -> tuple[float, tuple[str, ...], int]:
     return hop, tuple(header[2:]), n_read
 
 
-_BLOCK_BYTES = 1 << 19  # bytes per numpy pass over the file, its row tails or its ids
+_BLOCK_BYTES = 1 << 19  # bytes of the file read and parsed per chunk
 _FRAME_DIGITS = 16  # a frame of more digits is left to the line reader
 
 
 def _score_table(path) -> list[ScoreTrack] | None:
-    """Score CSV parsed from its bytes in numpy passes over blocks of rows.
+    """Score CSV parsed from its bytes in numpy passes, one chunk of rows at a time.
 
     Returns None, for the line-by-line reader to raise the line-numbered
     error or to accept what this pass does not take, unless: the file is
     UTF-8 and ends in LF; its header is valid; every non-empty row is
     ``id,frame,s1,...,sK`` with ASCII digits for the frame and K scores in
     [0, 1] written as fixed decimals of one width (as ``%.nf`` writes them,
-    1 <= n <= 15); no id or header line holds a comma or line break of its
-    own; and every clip's frames run 0..n-1 in a single block of rows.
-    The scores, frames and the commas around them are checked byte by byte,
-    so only the header and the ids are left to be checked as text.
+    1 <= n <= 15); no row is longer than _BLOCK_BYTES; no id or header line
+    holds a comma or line break of its own; and every clip's frames run
+    0..n-1 in a single block of rows. The scores, frames and the commas
+    around them are checked byte by byte, so only the header and the ids
+    are left to be checked as text.
     """
-    data = Path(path).read_bytes()
-    if not data.endswith(b"\n"):
-        return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.concatenate([
-        np.flatnonzero(buf[i : i + _BLOCK_BYTES] == ord("\n")) + i
-        for i in range(0, buf.size, _BLOCK_BYTES)
-    ])
-    try:
-        hop, class_names, n_read = _score_header(_decoded_lines(data, ends), path)
-    except (ParseError, ValueError):  # ValueError: also a bad UTF-8 byte
-        return None
-    k = len(class_names)
-    starts, ends = ends[n_read - 1 : -1] + 1, ends[n_read:]
-    keep = ends > starts  # empty rows are skipped
-    starts, ends = starts[keep], ends[keep]
-    if not starts.size:
-        return []
-    # The layout of every row's K scores is that of the first row's last one.
-    row = data[starts[0] : ends[0]]
-    field = row[row.rfind(b",") + 1 :]
-    point, width = field.find(b"."), len(field) + 1  # a field and its comma or LF
-    if not (point >= 1 and 1 <= width - point - 2 <= 15 and width <= 20):
-        return None
-    tail_starts = ends + 1 - k * width
-    # Room for an id, a comma, a frame digit and a comma before the scores.
-    # The header takes at least 30 bytes, so every frame window below starts
-    # inside the file.
-    if not (tail_starts - starts >= 3).all():
-        return None
-    tails = sliding_window_view(buf, k * width)
-    heads = sliding_window_view(buf, _FRAME_DIGITS + 1)
-    scores = np.empty((starts.size, k))
-    frames, id_ends = np.empty_like(starts), np.empty_like(starts)
-    step = max(1, _BLOCK_BYTES // (k * width))
-    for r0 in range(0, starts.size, step):
-        at = tail_starts[r0 : r0 + step]
-        values = _fixed_decimals(tails[at], k, point)
-        parsed = _frame_numbers(heads[at - 1 - _FRAME_DIGITS])
-        if values is None or parsed is None or not values.max() <= 1.0:
+    with open(path, "rb") as fh:
+        try:
+            hop, class_names, _ = _score_header(_header_lines(fh), path)
+        except (ParseError, ValueError):  # ValueError: also a bad UTF-8 byte
             return None
-        scores[r0 : r0 + step] = values
-        frames[r0 : r0 + step], n_digits = parsed
-        id_ends[r0 : r0 + step] = at - 2 - n_digits
-    # A block starts at each frame 0, its frames count up from there, and
-    # each of its rows holds the id of its first row.
-    index = np.arange(frames.size)
-    block_starts = np.maximum.accumulate(np.where(frames == 0, index, 0))
-    id_lens = id_ends - starts
-    if not (
-        np.array_equal(frames, index - block_starts)
-        and np.array_equal(id_lens, id_lens[block_starts])
-        and _same_bytes(buf, starts, starts[block_starts], id_lens)
-    ):
-        return None
-    bounds = np.flatnonzero(frames == 0).tolist() + [frames.size]
-    try:
-        clips = [data[starts[i] : id_ends[i]].decode("utf-8") for i in bounds[:-1]]
-    except UnicodeDecodeError:
-        return None
+        k, size = len(class_names), os.fstat(fh.fileno()).st_size
+        buf = np.empty(_FRAME_DIGITS + _BLOCK_BYTES, np.uint8)
+        scores, n, clips, firsts = np.empty((0, k)), 0, [], []
+        last_id, next_frame = b"", 0  # of the row before the chunk
+        for chunk in _row_chunks(fh, buf):
+            if chunk is None:
+                return None
+            starts, ends = chunk
+            if not len(scores):
+                # The layout of every row's K scores is that of the first row's last one.
+                row = buf[starts[0] : ends[0]].tobytes()
+                field = row[row.rfind(b",") + 1 :]
+                point, width = field.find(b"."), len(field) + 1  # a field and its comma or LF
+                if not (point >= 1 and 1 <= width - point - 2 <= 15 and width <= 20):
+                    return None
+                # Allocated once, for as many rows of the shortest kind (an empty
+                # id, one frame digit, two commas, the scores) as the file holds.
+                scores = np.empty((max(1, size // (k * width + 3)), k))
+                tails = sliding_window_view(buf, k * width)
+                heads = sliding_window_view(buf, _FRAME_DIGITS + 1)
+            at = ends + 1 - k * width  # where each row's scores start
+            if not (at - starts >= 3).all():
+                return None
+            values = _fixed_decimals(tails[at], k, point)
+            parsed = _frame_numbers(heads[at - 1 - _FRAME_DIGITS])
+            if values is None or parsed is None or not values.max() <= 1.0:
+                return None
+            frames, n_digits = parsed
+            # A block starts at each frame 0 and counts up from there; rows
+            # before the chunk's first 0 continue the row before the chunk.
+            # Each row of a block holds the id of the row before it.
+            rows = np.arange(len(frames))
+            block_starts = np.maximum.accumulate(np.where(frames == 0, rows, -next_frame))
+            lens = at - 2 - n_digits - starts
+            more = frames[1:] != 0
+            if not (
+                np.array_equal(frames, rows - block_starts)
+                and np.array_equal(lens[1:][more], lens[:-1][more])
+                and _same_bytes(buf, starts[1:][more], starts[:-1][more], lens[1:][more])
+                and (frames[0] == 0 or buf[starts[0] : starts[0] + lens[0]].tobytes() == last_id)
+            ):
+                return None
+            for i in np.flatnonzero(frames == 0).tolist():
+                try:
+                    clips.append(buf[starts[i] : starts[i] + lens[i]].tobytes().decode("utf-8"))
+                except UnicodeDecodeError:
+                    return None
+                firsts.append(n + i)
+            last_id, next_frame = buf[starts[-1] : starts[-1] + lens[-1]].tobytes(), frames[-1] + 1
+            if n + len(values) > len(scores):  # a file that grew, or a pipe
+                scores.resize((2 * (n + len(values)), k), refcheck=False)
+            scores[n : n + len(values)] = values
+            n += len(values)
     if len(set(clips)) != len(clips) or any(_splits(clip, ",") for clip in clips):
         return None
-    # Every track invariant was checked above, on the whole table at once.
+    scores.resize((n, k), refcheck=False)  # in place: no view of the table exists yet
+    # Every track invariant was checked above, chunk by chunk.
     scores.flags.writeable = False
+    bounds = firsts + [n]
     return [
         ScoreTrack._view(scores[start:stop].T, hop, class_names, clip)
         for clip, start, stop in zip(clips, bounds, bounds[1:])
     ]
 
 
-def _decoded_lines(data: bytes, ends):
-    """The lines of ``data`` that end at the LF offsets ``ends``, decoded as read.
+def _header_lines(fh):
+    """The LF-ended lines of ``fh``, decoded; any other line is a ValueError."""
+    while line := fh.readline():
+        text = line.decode("utf-8")
+        if not text.endswith("\n") or not _LINE_BREAKS.isdisjoint(text[:-1]):
+            raise ValueError("a line break besides LF, or no LF")
+        yield text[:-1]
 
-    A line that ``str.splitlines`` would split again is a ValueError.
+
+def _row_chunks(fh, buf: np.ndarray):
+    """(starts, ends) of the non-empty rows of each chunk read into ``buf``.
+
+    ``buf`` is _FRAME_DIGITS LFs, the byte before any row, then _BLOCK_BYTES
+    to read into. The partial row after a chunk's last LF starts the next
+    chunk. Yields None last if the file does not end in LF or a row does not
+    fit in a chunk.
     """
-    start = 0
-    for end in ends:
-        line = data[start:end].decode("utf-8")
-        if not _LINE_BREAKS.isdisjoint(line):
-            raise ValueError("a line break besides LF")
-        yield line
-        start = end + 1
+    buf[:_FRAME_DIGITS] = ord("\n")
+    filled = _FRAME_DIGITS
+    while got := fh.readinto(memoryview(buf)[filled:]):
+        filled += got
+        ends = np.flatnonzero(buf[_FRAME_DIGITS:filled] == ord("\n")) + _FRAME_DIGITS
+        starts = np.concatenate([[_FRAME_DIGITS], ends + 1])
+        keep = ends > starts[:-1]  # empty rows are skipped
+        if keep.any():
+            yield starts[:-1][keep], ends[keep]
+        rest = buf[starts[-1] : filled]
+        buf[_FRAME_DIGITS : _FRAME_DIGITS + rest.size] = rest
+        filled = _FRAME_DIGITS + rest.size
+    if filled > _FRAME_DIGITS:
+        yield None
 
 
 def _fixed_decimals(tails: np.ndarray, k: int, point: int) -> np.ndarray | None:
@@ -372,6 +393,7 @@ def _fixed_decimals(tails: np.ndarray, k: int, point: int) -> np.ndarray | None:
     if not (offsets <= hi - lo).all():
         return None
     places = offsets.reshape(-1, width).T.copy()  # one contiguous row per byte of a field
+    del offsets
     mantissa = places[0].astype(np.int64)
     for j in [*range(1, point), *range(point + 1, width - 1)]:
         mantissa *= 10
@@ -386,7 +408,7 @@ def _frame_numbers(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     score, then the comma before that score. The frame is the run of ASCII
     digits that ends the row, and the byte before the run must be a comma.
     """
-    digits = heads[:, :-1] - ord("0")  # a byte below "0" wraps above 9
+    digits = heads[:, :-1] - np.uint8(ord("0"))  # a byte below "0" wraps above 9
     n_digits = np.argmin(digits[:, ::-1] <= 9, axis=1)  # 0 when every byte is a digit
     if not (
         n_digits.min() >= 1
@@ -397,22 +419,18 @@ def _frame_numbers(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     frames = np.zeros(len(heads), dtype=np.int64)
     for j in range(_FRAME_DIGITS - n_digits.max(), _FRAME_DIGITS):
         frames *= 10
-        frames += np.where(j >= _FRAME_DIGITS - n_digits, digits[:, j], 0)
+        frames += np.where(j >= _FRAME_DIGITS - n_digits, digits[:, j], np.uint8(0))
     return frames, n_digits
 
 
 def _same_bytes(buf: np.ndarray, starts, refs, lens) -> bool:
     """Whether ``buf[s : s + n] == buf[r : r + n]`` for every (s, r, n)."""
-    step = max(1, _BLOCK_BYTES // max(1, int(lens.max())))
-    for r0 in range(0, len(lens), step):
-        block = lens[r0 : r0 + step]
-        shortest, longest = int(block.min()), int(block.max())
-        for n in [shortest] if shortest == longest else np.unique(block).tolist():
-            if n:
-                rows = np.flatnonzero(block == n) + r0
-                windows = sliding_window_view(buf, n)
-                if not np.array_equal(windows[starts[rows]], windows[refs[rows]]):
-                    return False
+    for n in np.flatnonzero(np.bincount(lens)).tolist():  # each length, once
+        if n:
+            rows = lens == n
+            windows = sliding_window_view(buf, n)
+            if not np.array_equal(windows[starts[rows]], windows[refs[rows]]):
+                return False
     return True
 
 

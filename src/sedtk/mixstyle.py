@@ -108,6 +108,7 @@ def freq_mixstyle(
 
     # One item at a time in float64, so the scratch is one map, not the batch.
     ref_moments = [bin_moments(r[None].astype(np.float64), (1, 3)) for r in ref.data]
+    del ref  # the reference copy is not alive beside the output
     out = np.empty(batch.data.shape, dtype=np.float32)
     for i, (w, (mu_r, var_r)) in enumerate(zip(lam_vec, ref_moments)):
         x = batch.data[i : i + 1].astype(np.float64)

@@ -4,6 +4,7 @@ import os
 import re
 import stat
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sedtk import dataio
 from sedtk.core import DomainTag, FeatureMap, atomic_open, make_batch, write_fmt
 from sedtk.dataio import (
     _fixed_decimals,
@@ -398,6 +400,35 @@ class TestScores:
         assert _score_table(path) is None
         np.testing.assert_array_equal(read_scores(path)[0].scores, [[0.1]])
 
+    def test_peak_memory_is_the_table_and_a_few_chunks(self, tmp_path):
+        rng = np.random.default_rng(0)
+        names = tuple(f"c{k}" for k in range(10))
+        tracks = [ScoreTrack(rng.uniform(size=(10, 626)), 0.016, names, f"clip{i:02d}")
+                  for i in range(40)]
+        path = tmp_path / "s.csv"
+        write_scores(tracks, path)
+        tracemalloc.start()
+        try:
+            fast = _score_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = sum(t.scores.nbytes for t in fast)
+        assert peak < table + 8 * dataio._BLOCK_BYTES, f"peak {peak / table:.2f}x the table"
+
+    def test_a_pipe_stays_on_the_byte_path(self, tmp_path):
+        # A pipe's size is 0, so the table grows past its first bound.
+        path, fifo = tmp_path / "s.csv", tmp_path / "pipe"
+        write_scores(self._tracks(), path)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        fast = _score_table(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert fast is not None
+        assert _outcome(lambda _: fast, path) == _outcome(_line_reader, path)
+
 
 def _float(text, what, path, line_no):
     try:
@@ -585,6 +616,62 @@ def test_fixed_decimal_is_the_float_of_its_text(case):
     tails = np.frombuffer((",".join(texts) + "\n").encode(), dtype=np.uint8)[None, :]
     got = _fixed_decimals(tails, len(texts), 1)
     assert np.array_equal(got.view(np.int64), np.array([[float(t) for t in texts]]).view(np.int64))
+
+
+_BREAKS = ["split block", "frame gap", "id change", "wider field", "CR", "no final LF"]
+
+
+@st.composite
+def _chunked_score_csv(draw):
+    """A fixed-decimal score CSV's bytes, the break made in it or None, and a chunk size."""
+    n_classes = draw(st.integers(1, 3))
+    places = draw(st.integers(1, 15))
+    clip_ids = draw(st.lists(
+        st.text("ab_é日\xa0", max_size=3) | st.sampled_from(["x" * 40, "長" * 30]),
+        min_size=1, max_size=4, unique=True,
+    ))
+    value = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    rows = []
+    for clip in clip_ids:
+        for t in range(draw(st.integers(1, 12))):
+            values = draw(st.lists(value, min_size=n_classes, max_size=n_classes))
+            rows.append([clip, str(t)] + [f"{v:.{places}f}" for v in values])
+    broken = draw(st.none() | st.sampled_from(_BREAKS))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if broken == "split block":  # the clip's last row goes to the end of the file
+        rows.append(rows.pop(max(j for j, r in enumerate(rows) if r[0] == row[0])))
+    elif broken == "frame gap":
+        row[1] = str(int(row[1]) + 1)
+    elif broken == "id change":  # a row after a block's first, its id's last character changed
+        row = draw(st.sampled_from([r for r in rows if r[1] != "0"] or rows))
+        row[0] = row[0][:-1] + "q"
+    elif broken == "wider field":
+        row[2] += "0"
+    elif broken == "CR":
+        row[-1] += "\r"
+    lines = [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    header = ",".join(["clip_id", "frame"] + [f"c{k}" for k in range(n_classes)])
+    text = "\n".join(["# hop_seconds=0.016", header] + lines) + "\n"
+    if broken == "no final LF":
+        text = text[:-1]
+    return text.encode("utf-8"), broken, draw(st.integers(16, 256))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chunked_score_csv())
+def test_chunk_boundaries_leave_the_tracks_as_the_line_reader_reads_them(csv_path, case):
+    data, broken, block = case
+    csv_path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_BLOCK_BYTES", block)
+        fast = _score_table(csv_path)
+        assert _outcome(read_scores, csv_path) == _outcome(_read_scores_per_line, csv_path)
+    if fast is not None:
+        assert _outcome(lambda _: fast, csv_path) == _outcome(_line_reader, csv_path)
+    elif broken is None:  # only a row with its LF longer than a chunk leaves the byte path
+        assert max(len(line) for line in data.split(b"\n")[2:]) >= block
 
 
 def _write_scores_per_value(tracks, path):

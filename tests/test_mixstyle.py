@@ -179,7 +179,8 @@ class TestFreqMixstyle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * data.nbytes, f"peak {peak / data.nbytes:.2f}x the batch's bytes"
+        # the output and one item's scratch; the reference copy is gone by then
+        assert peak < 1.5 * data.nbytes, f"peak {peak / data.nbytes:.2f}x the batch's bytes"
 
     def test_config_validation(self):
         with pytest.raises(ConfigInvalidError):
