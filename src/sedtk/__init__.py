@@ -20,7 +20,7 @@ from .core import (
     read_fmt,
     write_fmt,
 )
-from .stats import ChanStats, FreqStats, bin_moments, chan_stats, export_stats, freq_stats
+from .stats import FreqStats, bin_moments, export_stats, freq_stats
 from .mixstyle import MixStyleConfig, freq_mixstyle, make_reference_batch
 from .norm import AdaResNormParams, NormGradients, ada_res_norm, ada_res_norm_grad, freq_in
 from .frontend import AudioClip, MelConfig, log_mel, read_wav, resample_to_mono_16k
@@ -55,7 +55,6 @@ __all__ = [
     "AnnotationSet",
     "AudioClip",
     "Batch",
-    "ChanStats",
     "CsebbConfig",
     "DomainTag",
     "Event",
@@ -72,7 +71,6 @@ __all__ = [
     "ada_res_norm_grad",
     "beta_sample",
     "bin_moments",
-    "chan_stats",
     "delta_scores",
     "detect_candidates",
     "detect_sebbs",

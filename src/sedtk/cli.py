@@ -267,11 +267,8 @@ def cmd_postprocess(args) -> int:
         thresholds[cls] = _cast(float, cls, value, where)
         _check(f"{where}: ", sebb.threshold_events, [], {cls: thresholds[cls]})
     tracks = dataio.read_scores(args.scores)
-    classes = tracks[0].class_names if tracks else dataio._score_header(
-        iter(dataio._read_lines(args.scores)), args.scores
-    )[1]
     for cls, (_, i) in pairs.items():
-        if cls not in classes:
+        if cls not in tracks[0].class_names:
             raise UsageError(
                 f"{args.thresholds_file}:{i}: class {cls!r} is not a class of {args.scores}"
             )
@@ -305,7 +302,7 @@ def _parse_grid(path) -> dict[str, list]:
 
 def cmd_tune_sebb(args) -> int:
     grid = _parse_grid(args.grid)
-    tracks = _read_score_rows(args.scores)
+    tracks = dataio.read_scores(args.scores)
     annos = dataio.read_annotations(args.truth)
     durations = dataio.read_durations(args.durations)
     truth = metrics.AnnotationSet(events=annos.events, clip_durations=durations)
@@ -322,15 +319,6 @@ def cmd_tune_sebb(args) -> int:
         with atomic_open(args.out) as fh:
             fh.write(report)
     return 0
-
-
-def _read_score_rows(path) -> list[sebb.ScoreTrack]:
-    """``dataio.read_scores`` for a file that must hold at least one row."""
-    tracks = dataio.read_scores(path)
-    if not tracks:
-        n_lines = len(dataio._read_lines(path))
-        raise ParseError("no score rows after the header", path=path, line=n_lines)
-    return tracks
 
 
 def _segment_arrays(score_tracks, truth_tracks, scores_path, truth_path):
@@ -390,7 +378,7 @@ def cmd_evaluate(args) -> int:
         if not (args.segscores and args.segtruth):
             raise UsageError("--mpauc needs --segscores and --segtruth")
         scores, labels, classes = _segment_arrays(
-            _read_score_rows(args.segscores), _read_score_rows(args.segtruth),
+            dataio.read_scores(args.segscores), dataio.read_scores(args.segtruth),
             args.segscores, args.segtruth,
         )
         with warnings.catch_warnings(record=True) as caught:

@@ -9,6 +9,7 @@ with a line-numbered error rather than silently accepting part of a file.
 
 from __future__ import annotations
 
+import io
 import os
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -47,12 +48,12 @@ def _refuse_split(what: str, texts, separator: str) -> None:
             )
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, as ``str.splitlines`` splits them.
+def _read_lines(path, data: bytes | None = None) -> list[str]:
+    """The lines of a UTF-8 text file, or of its bytes, as ``str.splitlines`` splits them.
 
     A byte that is not UTF-8 is a ``ParseError`` on the line that holds it.
     """
-    data = Path(path).read_bytes()
+    data = Path(path).read_bytes() if data is None else data
     try:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -209,15 +210,22 @@ def read_scores(path) -> list[ScoreTrack]:
     several blocks as long as its frame numbers continue across them.
     Tracks are returned in the order of each clip's first row.
 
-    The file's bytes are parsed in numpy passes when its scores are fixed
-    decimals (``_score_table``); any other file is read again line by line,
-    which gives the same tracks or the line-numbered error.
+    The file is opened once. Its bytes are parsed in numpy passes when its
+    scores are fixed decimals (``_score_table``); any other file is decoded
+    again from its first byte and read line by line, which gives the same
+    tracks or the line-numbered error. A file without rows after its header
+    is a ``ParseError`` at its last line. A handle that cannot seek (a pipe)
+    is read whole first, so that it can be read again.
     """
-    tracks = _score_table(path)
-    if tracks is None:
-        lines = iter(_read_lines(path))
-        hop, class_names, n_read = _score_header(lines, path)
-        tracks = _score_lines(lines, n_read + 1, path, hop, class_names)
+    with open(path, "rb") as fh:
+        if not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        tracks = _score_table(fh, path)
+        if tracks is None:
+            fh.seek(0)
+            lines = iter(_read_lines(path, fh.read()))
+            hop, class_names, n_read = _score_header(lines, path)
+            tracks = _score_lines(lines, n_read + 1, path, hop, class_names)
     return tracks
 
 
@@ -256,8 +264,9 @@ _BLOCK_BYTES = 1 << 19  # bytes of the file read and parsed per chunk
 _FRAME_DIGITS = 16  # a frame of more digits is left to the line reader
 
 
-def _score_table(path) -> list[ScoreTrack] | None:
-    """Score CSV parsed from its bytes in numpy passes, one chunk of rows at a time.
+def _score_table(fh, path) -> list[ScoreTrack] | None:
+    """Score CSV parsed from the bytes of the seekable handle ``fh`` in numpy
+    passes, one chunk of rows at a time.
 
     Returns None, for the line-by-line reader to raise the line-numbered
     error or to accept what this pass does not take, unless: the file is
@@ -268,67 +277,69 @@ def _score_table(path) -> list[ScoreTrack] | None:
     holds a comma or line break of its own; and every clip's frames run
     0..n-1 in a single block of rows. The scores, frames and the commas
     around them are checked byte by byte, so only the header and the ids
-    are left to be checked as text.
+    are left to be checked as text. A file without rows is left to the
+    line reader too, which knows the line to name in its error.
     """
-    with open(path, "rb") as fh:
-        try:
-            hop, class_names, _ = _score_header(_header_lines(fh), path)
-        except (ParseError, ValueError):  # ValueError: also a bad UTF-8 byte
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    try:
+        hop, class_names, _ = _score_header(_header_lines(fh), path)
+    except (ParseError, ValueError):  # ValueError: also a bad UTF-8 byte
+        return None
+    k = len(class_names)
+    buf = np.empty(_FRAME_DIGITS + _BLOCK_BYTES, np.uint8)
+    scores, n, clips, firsts = np.empty((0, k)), 0, [], []
+    last_id, next_frame = b"", 0  # of the row before the chunk
+    for chunk in _row_chunks(fh, buf):
+        if chunk is None:
             return None
-        k, size = len(class_names), os.fstat(fh.fileno()).st_size
-        buf = np.empty(_FRAME_DIGITS + _BLOCK_BYTES, np.uint8)
-        scores, n, clips, firsts = np.empty((0, k)), 0, [], []
-        last_id, next_frame = b"", 0  # of the row before the chunk
-        for chunk in _row_chunks(fh, buf):
-            if chunk is None:
+        starts, ends = chunk
+        if not len(scores):
+            # The layout of every row's K scores is that of the first row's last one.
+            row = buf[starts[0] : ends[0]].tobytes()
+            field = row[row.rfind(b",") + 1 :]
+            point, width = field.find(b"."), len(field) + 1  # a field and its comma or LF
+            if not (point >= 1 and 1 <= width - point - 2 <= 15 and width <= 20):
                 return None
-            starts, ends = chunk
-            if not len(scores):
-                # The layout of every row's K scores is that of the first row's last one.
-                row = buf[starts[0] : ends[0]].tobytes()
-                field = row[row.rfind(b",") + 1 :]
-                point, width = field.find(b"."), len(field) + 1  # a field and its comma or LF
-                if not (point >= 1 and 1 <= width - point - 2 <= 15 and width <= 20):
-                    return None
-                # Allocated once, for as many rows of the shortest kind (an empty
-                # id, one frame digit, two commas, the scores) as the file holds.
-                scores = np.empty((max(1, size // (k * width + 3)), k))
-                tails = sliding_window_view(buf, k * width)
-                heads = sliding_window_view(buf, _FRAME_DIGITS + 1)
-            at = ends + 1 - k * width  # where each row's scores start
-            if not (at - starts >= 3).all():
+            # Allocated once, for as many rows of the shortest kind (an empty
+            # id, one frame digit, two commas, the scores) as the file holds.
+            scores = np.empty((max(1, size // (k * width + 3)), k))
+            tails = sliding_window_view(buf, k * width)
+            heads = sliding_window_view(buf, _FRAME_DIGITS + 1)
+        at = ends + 1 - k * width  # where each row's scores start
+        if not (at - starts >= 3).all():
+            return None
+        values = _fixed_decimals(tails[at], k, point)
+        parsed = _frame_numbers(heads[at - 1 - _FRAME_DIGITS])
+        if values is None or parsed is None or not values.max() <= 1.0:
+            return None
+        frames, n_digits = parsed
+        # A block starts at each frame 0 and counts up from there; rows
+        # before the chunk's first 0 continue the row before the chunk.
+        # Each row of a block holds the id of the row before it.
+        rows = np.arange(len(frames))
+        block_starts = np.maximum.accumulate(np.where(frames == 0, rows, -next_frame))
+        lens = at - 2 - n_digits - starts
+        more = frames[1:] != 0
+        if not (
+            np.array_equal(frames, rows - block_starts)
+            and np.array_equal(lens[1:][more], lens[:-1][more])
+            and _same_bytes(buf, starts[1:][more], starts[:-1][more], lens[1:][more])
+            and (frames[0] == 0 or buf[starts[0] : starts[0] + lens[0]].tobytes() == last_id)
+        ):
+            return None
+        for i in np.flatnonzero(frames == 0).tolist():
+            try:
+                clips.append(buf[starts[i] : starts[i] + lens[i]].tobytes().decode("utf-8"))
+            except UnicodeDecodeError:
                 return None
-            values = _fixed_decimals(tails[at], k, point)
-            parsed = _frame_numbers(heads[at - 1 - _FRAME_DIGITS])
-            if values is None or parsed is None or not values.max() <= 1.0:
-                return None
-            frames, n_digits = parsed
-            # A block starts at each frame 0 and counts up from there; rows
-            # before the chunk's first 0 continue the row before the chunk.
-            # Each row of a block holds the id of the row before it.
-            rows = np.arange(len(frames))
-            block_starts = np.maximum.accumulate(np.where(frames == 0, rows, -next_frame))
-            lens = at - 2 - n_digits - starts
-            more = frames[1:] != 0
-            if not (
-                np.array_equal(frames, rows - block_starts)
-                and np.array_equal(lens[1:][more], lens[:-1][more])
-                and _same_bytes(buf, starts[1:][more], starts[:-1][more], lens[1:][more])
-                and (frames[0] == 0 or buf[starts[0] : starts[0] + lens[0]].tobytes() == last_id)
-            ):
-                return None
-            for i in np.flatnonzero(frames == 0).tolist():
-                try:
-                    clips.append(buf[starts[i] : starts[i] + lens[i]].tobytes().decode("utf-8"))
-                except UnicodeDecodeError:
-                    return None
-                firsts.append(n + i)
-            last_id, next_frame = buf[starts[-1] : starts[-1] + lens[-1]].tobytes(), frames[-1] + 1
-            if n + len(values) > len(scores):  # a file that grew, or a pipe
-                scores.resize((2 * (n + len(values)), k), refcheck=False)
-            scores[n : n + len(values)] = values
-            n += len(values)
-    if len(set(clips)) != len(clips) or any(_splits(clip, ",") for clip in clips):
+            firsts.append(n + i)
+        last_id, next_frame = buf[starts[-1] : starts[-1] + lens[-1]].tobytes(), frames[-1] + 1
+        if n + len(values) > len(scores):  # a file that grew since its size was taken
+            scores.resize((2 * (n + len(values)), k), refcheck=False)
+        scores[n : n + len(values)] = values
+        n += len(values)
+    if not clips or len(set(clips)) != len(clips) or any(_splits(clip, ",") for clip in clips):
         return None
     scores.resize((n, k), refcheck=False)  # in place: no view of the table exists yet
     # Every track invariant was checked above, chunk by chunk.
@@ -438,6 +449,7 @@ def _score_lines(body, first_line: int, path, hop: float, class_names) -> list[S
     """Score-CSV body parsed line by line, raising at the first bad line."""
     rows: dict[str, list[tuple[int, list[float]]]] = {}
     order: list[str] = []
+    i = first_line - 1  # the last line read, also when the body is empty
     for i, line in enumerate(body, start=first_line):
         if not line.strip():
             continue
@@ -468,6 +480,8 @@ def _score_lines(body, first_line: int, path, hop: float, class_names) -> list[S
                 path=path, line=i,
             )
         rows[clip].append((frame, values))
+    if not order:
+        raise ParseError("no score rows after the header", path=path, line=i)
 
     tracks = []
     for clip in order:

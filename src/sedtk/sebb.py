@@ -245,7 +245,8 @@ def _merge_spans(rows, spans, merges):
     for abs_thr, rel_thr in merges:
         joins = gap_mean >= abs_thr
         joins[joins] = low[joins] / gap_mean[joins] <= rel_thr
-        redo = np.unique(row[left[joins]])
+        redo = row[left[joins]]  # sorted, so each row's first entry starts its run
+        redo = redo[np.diff(redo, prepend=-1) != 0]
         kept = np.ones(row.size, dtype=bool)
         boxes = []  # (row, onset, offset, confidence) of the rows in redo, merged
         starts, stops = np.searchsorted(row, [redo, redo + 1]).tolist()
@@ -409,7 +410,7 @@ def tune_csebb(
                     coded_truth, dets, code_col, len(classes),
                     psds_cfg.rho_dtc, psds_cfg.rho_gtc, psds_cfg.thresholds,
                 )
-                clips = [tracks[i].clip_id for i in np.unique(track).tolist()]
+                clips = [tracks[i].clip_id for i in np.flatnonzero(np.bincount(track)).tolist()]
                 value = psds(_curve(classes, tp, fp, clips, truth, psds_cfg))
                 if best is None or value > best[0] + 1e-12:
                     best = (value, cfg)

@@ -25,14 +25,6 @@ class FreqStats:
     sigma: np.ndarray
 
 
-@dataclass(frozen=True)
-class ChanStats:
-    """Per-channel mean and population std, each of length C."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-
-
 def centred_moments(
     x: np.ndarray, axis: tuple[int, ...], out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -64,12 +56,6 @@ def freq_stats(fmap: FeatureMap) -> FreqStats:
     return FreqStats(mu=mu.ravel(), sigma=np.sqrt(var).ravel())
 
 
-def chan_stats(fmap: FeatureMap) -> ChanStats:
-    """Statistics over (frequency, time) for each channel."""
-    mu, var = bin_moments(fmap.data, (1, 2))
-    return ChanStats(mu=mu.ravel(), sigma=np.sqrt(var).ravel())
-
-
 def export_stats(batch: Batch, which: str, path) -> int:
     """Write one row per batch item: ``tag,mu...,sigma...`` (2F or 2C values).
 
@@ -77,16 +63,17 @@ def export_stats(batch: Batch, which: str, path) -> int:
     embedding/visualization tools. Returns the number of rows written.
     """
     if which == "frequency":
-        vectors = [freq_stats(m) for m in batch.maps]
-    elif which == "channel":
-        vectors = [chan_stats(m) for m in batch.maps]
+        vectors = [(st.mu, st.sigma) for st in map(freq_stats, batch.maps)]
+    elif which == "channel":  # over (frequency, time) for each channel
+        moments = (bin_moments(m.data, (1, 2)) for m in batch.maps)
+        vectors = [(mu.ravel(), np.sqrt(var).ravel()) for mu, var in moments]
     else:
         raise InvalidParameterError(
             f"which must be 'frequency' or 'channel', got {which!r}"
         )
     with atomic_open(path) as fh:
-        for tag, st in zip(batch.tags, vectors):
+        for tag, (mu, sigma) in zip(batch.tags, vectors):
             # one %-format per row; "%.9g" spells each value as f"{v:.9g}" does
-            row = DomainTag(tag).name + ",%.9g" * (st.mu.size + st.sigma.size) + "\n"
-            fh.write(row % (*st.mu.tolist(), *st.sigma.tolist()))
+            row = DomainTag(tag).name + ",%.9g" * (mu.size + sigma.size) + "\n"
+            fh.write(row % (*mu.tolist(), *sigma.tolist()))
     return len(batch)

@@ -218,13 +218,13 @@ class TestScipyLoading:
     """``import sedtk`` loads numpy only; scipy comes in with the feature path alone."""
 
     # Imports sedtk, runs the command line it is given, and prints whether
-    # any scipy module is loaded.
+    # any scipy module is loaded, then whether numpy.ma is.
     _PROBE = (
         "import sys\n"
         "import sedtk, sedtk.cli\n"
         "if sys.argv[1:] and sedtk.cli.run(sys.argv[1:]) != 0:\n"
         "    sys.exit('the command failed')\n"
-        "print('scipy' in sys.modules)\n"
+        "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
 
     def _argv(self, tmp_path, command, fmt_file):
@@ -253,6 +253,7 @@ class TestScipyLoading:
                          "--n-mels", "16", "--pad-seconds", "0.5"],
         }[command]
 
+    # numpy.ma is checked only where scipy is not loaded (scipy imports it).
     @pytest.mark.parametrize(
         "command, loads_scipy",
         [(None, False), ("postprocess", False), ("evaluate", False), ("tune-sebb", False),
@@ -262,7 +263,10 @@ class TestScipyLoading:
         argv = [] if command is None else [str(a) for a in self._argv(tmp_path, command, fmt_file)]
         proc = _fresh_python("-c", self._PROBE, *argv)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == str(loads_scipy)
+        scipy, numpy_ma = proc.stdout.splitlines()[-1].split()
+        assert scipy == str(loads_scipy)
+        if not loads_scipy:
+            assert numpy_ma == "False"
 
 
 class TestEvaluate:
@@ -689,14 +693,25 @@ class TestPostprocessAndTune:
                 row for row in rows if row.endswith(f"\t{kept}")
             ]
 
-    @pytest.mark.parametrize("cls, code", [("dog", 0), ("cat", 1)])
-    def test_thresholds_file_classes_of_a_score_file_without_rows(self, tmp_path, cls, code):
-        scores = tmp_path / "scores.csv"
-        scores.write_text("# hop_seconds=0.02\nclip_id,frame,dog\n")
+    @pytest.mark.parametrize("rows, cls, code", [
+        (True, "dog", 0), (True, "cat", 1), (False, "dog", 2), (False, "cat", 2),
+    ])
+    def test_thresholds_file_classes_are_those_of_the_score_rows(
+        self, tmp_path, capsys, rows, cls, code
+    ):
+        scores = self._scores_fixture(tmp_path)
+        if not rows:  # no classes to check against: a data error before the check
+            scores.write_text("# hop_seconds=0.02\nclip_id,frame,dog\n")
         per_class = tmp_path / "thresholds.tsv"
         per_class.write_text(f"{cls}\t0.3\n")
         assert run(["postprocess", "--scores", str(scores), "--out", str(tmp_path / "ev.tsv"),
                     "--thresholds-file", str(per_class)]) == code
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == {
+            0: f"wrote 1 events to {tmp_path / 'ev.tsv'}",
+            1: f"usage error: {per_class}:1: class 'cat' is not a class of {scores}",
+            2: f"error: {scores}:2: no score rows after the header",
+        }[code]
 
     def test_tune_sebb_prints_config(self, tmp_path, capsys):
         scores = self._scores_fixture(tmp_path)
@@ -1044,13 +1059,15 @@ class TestTextInputs:
     def test_the_same_command_passes_with_good_files(self, tmp_path, capsys, flag, name):
         assert run(self._argv(tmp_path, flag, tmp_path / name)) == 0
 
-    @pytest.mark.parametrize("command", ["tune-sebb", "evaluate"])
+    @pytest.mark.parametrize("command", ["postprocess", "tune-sebb", "evaluate"])
     def test_score_file_without_rows_is_data_error(self, tmp_path, capsys, command):
         argv = self._argv(tmp_path, "--scores", tmp_path / "scores.csv")
         scores = tmp_path / "empty.csv"
         scores.write_text("# hop_seconds=0.02\nclip_id,frame,dog\n\n")
         if command == "tune-sebb":
             argv[argv.index("--scores") + 1] = str(scores)
+        elif command == "postprocess":
+            argv = ["postprocess", "--scores", str(scores), "--out", str(tmp_path / "ev.tsv")]
         else:
             argv = ["evaluate", "--mpauc", "--segscores", str(scores),
                     "--segtruth", str(tmp_path / "scores.csv")]

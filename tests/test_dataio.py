@@ -319,7 +319,7 @@ class TestScores:
     def test_blank_lines_stay_on_the_column_path(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("# hop_seconds=0.5\n\nclip_id,frame,dog\n\na,0,0.1\na,1,0.2\n\nb,0,0.3\n\n")
-        tracks = _score_table(path)
+        tracks = _byte_pass(path)
         assert tracks is not None
         assert [t.clip_id for t in tracks] == ["a", "b"]
         np.testing.assert_array_equal(tracks[0].scores, [[0.1, 0.2]])
@@ -350,10 +350,10 @@ class TestScores:
         ]
         path = tmp_path / "s.csv"
         write_scores(tracks, path)
-        fast = _score_table(path)
+        fast = _byte_pass(path)
         assert fast is not None  # a silent fall to the line reader would pass the rest
         assert [t.clip_id for t in fast] == clip_ids
-        assert _outcome(_score_table, path) == _outcome(_line_reader, path)
+        assert _outcome(_byte_pass, path) == _outcome(_line_reader, path)
 
     @pytest.mark.parametrize("places", range(1, 16))
     def test_every_fixed_decimal_width_stays_on_the_byte_path(self, tmp_path, places):
@@ -362,11 +362,11 @@ class TestScores:
         rows = [f"a,{t}," + ",".join(f"{v:.{places}f}" for v in row) for t, row in enumerate(values)]
         path = tmp_path / "s.csv"
         path.write_text("# hop_seconds=0.5\nclip_id,frame,x,y,z\n" + "\n".join(rows) + "\n")
-        fast = _score_table(path)
+        fast = _byte_pass(path)
         assert fast is not None
         want = [[float(f"{v:.{places}f}") for v in row] for row in values]
         assert np.array_equal(fast[0].scores.view(np.int64), np.array(want).T.view(np.int64))
-        assert _outcome(_score_table, path) == _outcome(_line_reader, path)
+        assert _outcome(_byte_pass, path) == _outcome(_line_reader, path)
 
     @pytest.mark.parametrize(
         "lines",
@@ -381,13 +381,13 @@ class TestScores:
     def test_files_off_the_fixed_layout_go_to_the_line_reader(self, tmp_path, lines):
         path = tmp_path / "s.csv"
         path.write_text("# hop_seconds=0.5\nclip_id,frame,dog\n" + "\n".join(lines) + "\n")
-        assert _score_table(path) is None
+        assert _byte_pass(path) is None
         assert _outcome(read_scores, path) == _outcome(_read_scores_per_line, path)
 
     def test_both_readers_give_equal_read_only_tracks(self, tmp_path):
         path = tmp_path / "s.csv"
         write_scores(self._tracks(), path)
-        fast, slow = _score_table(path), _line_reader(path)
+        fast, slow = _byte_pass(path), _line_reader(path)
         assert _outcome(lambda _: fast, path) == _outcome(lambda _: slow, path)
         for track in fast + slow:
             assert track.n_frames == 5
@@ -397,7 +397,7 @@ class TestScores:
     def test_file_without_a_final_lf_goes_to_the_line_reader(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("# hop_seconds=0.5\nclip_id,frame,dog\na,0,0.1")
-        assert _score_table(path) is None
+        assert _byte_pass(path) is None
         np.testing.assert_array_equal(read_scores(path)[0].scores, [[0.1]])
 
     def test_peak_memory_is_the_table_and_a_few_chunks(self, tmp_path):
@@ -409,25 +409,59 @@ class TestScores:
         write_scores(tracks, path)
         tracemalloc.start()
         try:
-            fast = _score_table(path)
+            fast = _byte_pass(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         table = sum(t.scores.nbytes for t in fast)
         assert peak < table + 8 * dataio._BLOCK_BYTES, f"peak {peak / table:.2f}x the table"
 
-    def test_a_pipe_stays_on_the_byte_path(self, tmp_path):
-        # A pipe's size is 0, so the table grows past its first bound.
-        path, fifo = tmp_path / "s.csv", tmp_path / "pipe"
+    def test_a_pipe_stays_on_the_byte_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
         write_scores(self._tracks(), path)
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
-        writer.start()
-        fast = _score_table(fifo)
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert fast is not None
+        monkeypatch.setattr(dataio, "_score_lines", None)  # the line reader is not reached
+        fast = _read_through_a_pipe(path, tmp_path / "pipe")
         assert _outcome(lambda _: fast, path) == _outcome(_line_reader, path)
+
+    def test_a_pipe_off_the_fixed_layout_is_read_once(self, tmp_path):
+        # The byte pass drains the pipe; the line reader must not open it again.
+        path = tmp_path / "s.csv"
+        path.write_text("# hop_seconds=0.5\nclip_id,frame,dog\na,0,0.1e0\n")
+        assert _byte_pass(path) is None
+        fast = _read_through_a_pipe(path, tmp_path / "pipe")
+        assert _outcome(lambda _: fast, path) == _outcome(read_scores, path)
+
+    @pytest.mark.parametrize("body, line", [("", 2), ("\n\n", 4), ("  \n\t\n", 4)])
+    def test_a_file_without_rows_is_an_error_at_its_last_line(self, tmp_path, body, line):
+        path = tmp_path / "s.csv"
+        path.write_text("# hop_seconds=0.5\nclip_id,frame,dog\n" + body)
+        assert _byte_pass(path) is None
+        with pytest.raises(ParseError) as err:
+            read_scores(path)
+        assert str(err.value) == f"{path}:{line}: no score rows after the header"
+        path.write_text("# hop_seconds=0.5\nclip_id,frame,dog")  # no final LF
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: no score rows"):
+            read_scores(path)
+
+
+def _byte_pass(path):
+    with open(path, "rb") as fh:
+        return _score_table(fh, path)
+
+
+def _read_through_a_pipe(path, fifo):
+    """``read_scores`` of a FIFO fed the bytes of ``path``, or a failed test if it hangs."""
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    tracks = []
+    reader = threading.Thread(target=lambda: tracks.extend(read_scores(fifo)), daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=10)
+    writer.join(timeout=1)
+    assert not reader.is_alive() and not writer.is_alive(), "reading the pipe hangs"
+    assert tracks, "read_scores raised on the pipe"
+    return tracks
 
 
 def _float(text, what, path, line_no):
@@ -488,6 +522,8 @@ def _read_scores_per_line(path):
                 path=path, line=i,
             )
         rows[clip].append(values)
+    if not rows:
+        raise ParseError("no score rows after the header", path=path, line=len(lines))
     return [
         ScoreTrack(
             scores=np.array(values, dtype=np.float64).T,
@@ -574,6 +610,7 @@ def csv_path(tmp_path_factory):
 @given(_score_csv())
 @example(["# hop_seconds=1", "clip_id,frame,c0", "a,0,0.1", "a,1,0.2", "a,2,0.3", "a,3.0,0.4"])
 @example(["# hop_seconds=1", "clip_id,frame,c0", "a"])
+@example(["# hop_seconds=1", "clip_id,frame,c0", "", "  "])
 @example(["# hop_seconds=1", "clip_id,frame,c0", "a,0,0.1", "a,1,0.2", "a,0,0.3"])
 # Rows the streamed pass cannot vouch for: ids numpy would cut or drop a NUL
 # from, ids it cannot encode, and breaks str.splitlines honours but a file's
@@ -666,7 +703,7 @@ def test_chunk_boundaries_leave_the_tracks_as_the_line_reader_reads_them(csv_pat
     csv_path.write_bytes(data)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataio, "_BLOCK_BYTES", block)
-        fast = _score_table(csv_path)
+        fast = _byte_pass(csv_path)
         assert _outcome(read_scores, csv_path) == _outcome(_read_scores_per_line, csv_path)
     if fast is not None:
         assert _outcome(lambda _: fast, csv_path) == _outcome(_line_reader, csv_path)

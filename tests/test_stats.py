@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sedtk.core import DomainTag, FeatureMap, make_batch
 from sedtk.errors import InvalidParameterError
 from sedtk import stats
-from sedtk.stats import FreqStats, bin_moments, centred_moments, chan_stats, export_stats, freq_stats
+from sedtk.stats import FreqStats, bin_moments, centred_moments, export_stats, freq_stats
 
 
 def _loop_freq_stats(data):
@@ -47,9 +47,9 @@ def test_bin_moments_of_a_batch_equal_per_item_stats():
         np.testing.assert_array_equal(st_.sigma, x.std(axis=(0, 2), dtype=np.float64))
         np.testing.assert_allclose(mu[i].ravel(), st_.mu, rtol=1e-12)
         np.testing.assert_allclose(np.sqrt(var[i]).ravel(), st_.sigma, rtol=1e-12)
-        ch = chan_stats(FeatureMap(x))
-        np.testing.assert_array_equal(ch.mu, x.mean(axis=(1, 2), dtype=np.float64))
-        np.testing.assert_array_equal(ch.sigma, x.std(axis=(1, 2), dtype=np.float64))
+        ch_mu, ch_var = bin_moments(x, (1, 2))
+        np.testing.assert_array_equal(ch_mu.ravel(), x.mean(axis=(1, 2), dtype=np.float64))
+        np.testing.assert_array_equal(np.sqrt(ch_var).ravel(), x.std(axis=(1, 2), dtype=np.float64))
 
 
 # Values that stress a float64 sum of float32 or float64 data: signed zeros,
@@ -131,27 +131,35 @@ class TestFreqStats:
         assert np.all(freq_stats(fm).sigma >= 0)
 
 
-class TestChanStats:
-    def test_constant_map(self):
-        fm = FeatureMap(np.full((3, 4, 5), -1.5, np.float32))
-        st_ = chan_stats(fm)
-        np.testing.assert_allclose(st_.mu, -1.5)
-        np.testing.assert_allclose(st_.sigma, 0.0)
+def _channel_row(fm, tmp_path):
+    """The mu and sigma of ``fm``'s channel row, as ``export_stats`` writes it."""
+    out = tmp_path / "stats.csv"
+    export_stats(make_batch([fm], [DomainTag.DESED]), "channel", out)
+    tag, *values = out.read_text().splitlines()[0].split(",")
+    assert tag == "DESED"
+    return np.split(np.array([float(v) for v in values]), 2)
 
-    def test_two_channel_moments(self):
+
+class TestChanStats:
+    def test_constant_map(self, tmp_path):
+        mu, sigma = _channel_row(FeatureMap(np.full((3, 4, 5), -1.5, np.float32)), tmp_path)
+        np.testing.assert_allclose(mu, -1.5)
+        np.testing.assert_allclose(sigma, 0.0)
+
+    def test_two_channel_moments(self, tmp_path):
         # (C=2, F=1, T=2): channels [0, 2] and [6, 6]
         fm = FeatureMap(np.array([[[0.0, 2.0]], [[6.0, 6.0]]], np.float32))
-        st_ = chan_stats(fm)
-        np.testing.assert_allclose(st_.mu, [1.0, 6.0])
-        np.testing.assert_allclose(st_.sigma, [1.0, 0.0])
+        mu, sigma = _channel_row(fm, tmp_path)
+        np.testing.assert_allclose(mu, [1.0, 6.0])
+        np.testing.assert_allclose(sigma, [1.0, 0.0])
 
-    def test_matches_loop_oracle(self):
+    def test_matches_loop_oracle(self, tmp_path):
         rng = np.random.default_rng(5)
         fm = FeatureMap(rng.normal(size=(4, 3, 9)).astype(np.float32))
-        st_ = chan_stats(fm)
-        mu, sigma = _loop_chan_stats(fm.data)
-        np.testing.assert_allclose(st_.mu, mu, atol=1e-6)
-        np.testing.assert_allclose(st_.sigma, sigma, atol=1e-6)
+        mu, sigma = _channel_row(fm, tmp_path)
+        want_mu, want_sigma = _loop_chan_stats(fm.data)
+        np.testing.assert_allclose(mu, want_mu, atol=1e-6)
+        np.testing.assert_allclose(sigma, want_sigma, atol=1e-6)
 
 
 @settings(deadline=None, max_examples=30)
@@ -163,8 +171,8 @@ def test_time_permutation_invariance(seed):
     a, b = FeatureMap(data), FeatureMap(data[:, :, perm])
     np.testing.assert_allclose(freq_stats(a).mu, freq_stats(b).mu, atol=1e-6)
     np.testing.assert_allclose(freq_stats(a).sigma, freq_stats(b).sigma, atol=1e-6)
-    np.testing.assert_allclose(chan_stats(a).mu, chan_stats(b).mu, atol=1e-6)
-    np.testing.assert_allclose(chan_stats(a).sigma, chan_stats(b).sigma, atol=1e-6)
+    for ma, mb in zip(bin_moments(a.data, (1, 2)), bin_moments(b.data, (1, 2))):
+        np.testing.assert_allclose(ma, mb, atol=1e-6)
 
 
 @settings(deadline=None, max_examples=30)
@@ -284,6 +292,10 @@ def test_export_rows_of_a_batch_equal_the_f_string_join(tmp_path, which):
     tags = [DomainTag.DESED] * 3 + [DomainTag.MAESTRO] * 2
     batch = make_batch([FeatureMap(d) for d in data], tags)
     export_stats(batch, which, tmp_path / "stats.csv")
-    rule = freq_stats if which == "frequency" else chan_stats
+    # numpy's float64 mean and std per channel, which bin_moments gives bit for bit
+    def rule(m):
+        return freq_stats(m) if which == "frequency" else FreqStats(
+            m.data.mean(axis=(1, 2), dtype=np.float64), m.data.std(axis=(1, 2), dtype=np.float64)
+        )
     want = _f_string_rows(batch.tags, [rule(m) for m in batch.maps])
     assert (tmp_path / "stats.csv").read_bytes() == want.encode()
