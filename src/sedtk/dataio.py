@@ -336,7 +336,7 @@ def _score_table(fh, path) -> list[ScoreTrack] | None:
             firsts.append(n + i)
         last_id, next_frame = buf[starts[-1] : starts[-1] + lens[-1]].tobytes(), frames[-1] + 1
         if n + len(values) > len(scores):  # a file that grew since its size was taken
-            scores.resize((2 * (n + len(values)), k), refcheck=False)
+            return None
         scores[n : n + len(values)] = values
         n += len(values)
     if not clips or len(set(clips)) != len(clips) or any(_splits(clip, ",") for clip in clips):

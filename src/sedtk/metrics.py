@@ -46,10 +46,6 @@ class Event:
                 f"event offset ({self.offset_s}) must exceed onset ({self.onset_s})"
             )
 
-    @property
-    def duration_s(self) -> float:
-        return self.offset_s - self.onset_s
-
 
 @dataclass
 class AnnotationSet:
@@ -60,8 +56,8 @@ class AnnotationSet:
 
     def __post_init__(self):
         for clip, dur in self.clip_durations.items():
-            if not dur > 0:
-                raise InvalidParameterError(f"duration of {clip!r} must be > 0")
+            if not 0 < dur < float("inf"):
+                raise InvalidParameterError(f"duration of {clip!r} must be finite and > 0")
         for ev in self.events:
             dur = self.clip_durations.get(ev.clip_id)
             if dur is not None and ev.offset_s > dur + 1e-9:
@@ -84,10 +80,14 @@ class PsdsConfig:
     def __post_init__(self):
         if not (0 < self.rho_dtc <= 1 and 0 < self.rho_gtc <= 1):
             raise InvalidParameterError("rho criteria must be in (0, 1]")
-        if not self.e_max > 0:
-            raise InvalidParameterError("e_max must be > 0")
+        if not 0 <= self.alpha_st < float("inf"):
+            raise InvalidParameterError("alpha_st must be finite and >= 0")
+        if not 0 < self.e_max < float("inf"):
+            raise InvalidParameterError("e_max must be finite and > 0")
         if len(self.thresholds) == 0:
             raise InvalidParameterError("need at least one threshold")
+        if not all(0 <= t <= 1 for t in self.thresholds):
+            raise InvalidParameterError("thresholds must lie in [0, 1]")
 
 
 def intersection_match(

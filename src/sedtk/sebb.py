@@ -51,7 +51,7 @@ class ScoreTrack:
             )
         if len(set(self.class_names)) < len(self.class_names):
             raise ConfigInvalidError(f"class names must be distinct, got {self.class_names}")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
             raise ScoreOutOfRangeError(
                 f"scores must lie in [0,1], found range "
                 f"[{arr.min():.6g}, {arr.max():.6g}]"

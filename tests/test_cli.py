@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, reports, determinism, input safety."""
 
+import json
 import os
 import subprocess
 import sys
@@ -94,6 +95,31 @@ class TestExitCodes:
             "frontend.resample_to_mono_16k(frontend.AudioClip(np.zeros(4410, np.float32), 44100))\n"
         ))
         assert proc.returncode == 0, proc.stderr
+
+    def test_python_m_sedtk(self, benchmark_inputs, tmp_path):
+        # The benchmark's config, given as flags and as a --config file, writes the same events.
+        inputs = benchmark_inputs["score"]
+        c = json.loads((inputs / "plan.json").read_text())["config"]
+        options = [  # flag, config key, value
+            ("--filter-len", "filter_len", c["filter_len"]),
+            ("--boundary", "boundary_threshold", c["boundary"]),
+            ("--merge-abs", "merge_threshold_abs", c["merge_abs"]),
+            ("--merge-rel", "merge_threshold_rel", c["merge_rel"]),
+            ("--threshold", "threshold", c["threshold"]),
+        ]
+        config = tmp_path / "plan.cfg"
+        config.write_text("".join(f"{key}={value}\n" for _, key, value in options))
+        flags = [x for flag, _, value in options for x in (flag, str(value))]
+        postprocess = ["-m", "sedtk", "postprocess", "--scores", str(inputs / "scores.csv")]
+        for out, extra in (("flags.tsv", flags), ("config.tsv", ["--config", str(config)])):
+            proc = _fresh_python(*postprocess, "--out", str(tmp_path / out), *extra)
+            assert proc.returncode == 0, proc.stderr
+        events = (tmp_path / "flags.tsv").read_bytes()
+        assert events.count(b"\n") > 1 and events == (tmp_path / "config.tsv").read_bytes()
+        usage = _fresh_python("-m", "sedtk", "postprocess", "--no-such-flag")
+        assert usage.returncode == 1 and "usage error" in usage.stderr
+        missing = _fresh_python("-m", "sedtk", *_missing_input_argv(tmp_path, "postprocess"))
+        assert missing.returncode == 2 and "error" in missing.stderr
 
 
 def _missing_input_argv(tmp_path, command):

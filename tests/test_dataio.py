@@ -1,5 +1,6 @@
 """TSV/CSV readers and writers, class mapping, line-numbered errors."""
 
+import io
 import os
 import re
 import stat
@@ -431,6 +432,20 @@ class TestScores:
         fast = _read_through_a_pipe(path, tmp_path / "pipe")
         assert _outcome(lambda _: fast, path) == _outcome(read_scores, path)
 
+    @pytest.mark.parametrize("workload", ["tune", "score"])
+    def test_benchmark_scores_stay_on_the_byte_path(self, benchmark_inputs, workload):
+        path = benchmark_inputs[workload] / "scores.csv"
+        fast = _byte_pass(path)
+        assert fast is not None, "the benchmark's scores left the byte path"
+        assert _outcome(lambda _: fast, path) == _outcome(_line_reader, path)
+
+    def test_a_file_that_grew_while_read_goes_to_the_line_reader(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_scores(self._tracks(), path)
+        assert _byte_pass(path) is not None
+        with _ShortEnd(path.read_bytes()) as fh:  # sized for one row, then read whole
+            assert _score_table(fh, path) is None
+
     @pytest.mark.parametrize("body, line", [("", 2), ("\n\n", 4), ("  \n\t\n", 4)])
     def test_a_file_without_rows_is_an_error_at_its_last_line(self, tmp_path, body, line):
         path = tmp_path / "s.csv"
@@ -447,6 +462,14 @@ class TestScores:
 def _byte_pass(path):
     with open(path, "rb") as fh:
         return _score_table(fh, path)
+
+
+class _ShortEnd(io.BytesIO):
+    """Bytes whose end is reported at byte 1: a file that grows after its size is taken."""
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        at = super().seek(pos, whence)
+        return 1 if whence == io.SEEK_END else at
 
 
 def _read_through_a_pipe(path, fifo):

@@ -71,6 +71,27 @@ class TestEventType:
             )
 
 
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PsdsConfig(alpha_st=_NAN), "alpha_st must be finite and >= 0"),
+    (lambda: PsdsConfig(alpha_st=_INF), "alpha_st must be finite and >= 0"),
+    (lambda: PsdsConfig(alpha_st=-0.5), "alpha_st must be finite and >= 0"),
+    (lambda: PsdsConfig(e_max=_INF), "e_max must be finite and > 0"),
+    (lambda: PsdsConfig(thresholds=(0.5, _NAN)), "thresholds must lie in [0, 1]"),
+    (lambda: PsdsConfig(thresholds=(-0.1, 0.5)), "thresholds must lie in [0, 1]"),
+    (lambda: PsdsConfig(thresholds=(0.5, 1.5)), "thresholds must lie in [0, 1]"),
+    (lambda: AnnotationSet(clip_durations={"a": 10.0, "b": _INF}),
+     "duration of 'b' must be finite and > 0"),
+], ids=["alpha_st-nan", "alpha_st-inf", "alpha_st-negative", "e_max-inf", "threshold-nan",
+        "threshold-negative", "threshold-above-1", "duration-inf"])
+def test_psds_inputs_must_be_finite_and_in_range(build, message):
+    # Accepted, each gave a PSDS of 0.0 or nan, or made every eFPR 0.
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 class TestIntersectionMatch:
     def test_exact_match(self):
         truth = [Event("a", "dog", 1.0, 2.0)]
@@ -304,12 +325,12 @@ def _parent_intersection_match(dets, truth, rho_dtc, rho_gtc):
             t_list = truth_by.get((clip, cls), [])
             valid = []
             for d in d_list:
-                if covered(d, t_list) / d.duration_s >= rho_dtc:
+                if covered(d, t_list) / (d.offset_s - d.onset_s) >= rho_dtc:
                     valid.append(d)
                 else:
                     fp += 1
             for t in t_list:
-                if covered(t, valid) / t.duration_s >= rho_gtc:
+                if covered(t, valid) / (t.offset_s - t.onset_s) >= rho_gtc:
                     tp += 1
         counts[cls] = (tp, fp)
     return counts

@@ -374,8 +374,10 @@ class TestDetectCandidates:
                 assert together[name] == alone[name]
 
     def test_score_range_enforced(self):
-        with pytest.raises(ScoreOutOfRangeError):
-            _track(np.array([0.0, 1.2, 0.5]))
+        # Unchecked, a NaN inside a box failed in SEBB, and one before it dropped the box.
+        for rows in ([0.0, 1.2, 0.5], [0.5, -0.1], [0.05, np.nan, 0.9, 0.9]):
+            with pytest.raises(ScoreOutOfRangeError):
+                _track(np.array(rows))
 
     def test_repeated_class_name_rejected(self):
         with pytest.raises(ConfigInvalidError, match="distinct"):
