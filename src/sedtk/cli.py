@@ -266,18 +266,19 @@ def cmd_postprocess(args) -> int:
         where = f"{args.thresholds_file}:{i}"
         thresholds[cls] = _cast(float, cls, value, where)
         _check(f"{where}: ", sebb.threshold_events, [], {cls: thresholds[cls]})
-    tracks = dataio.read_scores(args.scores)
+
+    def clip_events(tr):  # each clip is detected as it is read; its scores are not kept
+        boxes = sebb.detect_sebbs(tr, csebb)
+        return tr.class_names, sebb.threshold_events(boxes, thresholds, tr.clip_id, args.threshold)
+
+    # The class check waits for the whole file: a data error in it comes first.
+    per_clip = dataio.read_scores(args.scores, each=clip_events)
     for cls, (_, i) in pairs.items():
-        if cls not in tracks[0].class_names:
+        if cls not in per_clip[0][0]:
             raise UsageError(
                 f"{args.thresholds_file}:{i}: class {cls!r} is not a class of {args.scores}"
             )
-    events = []
-    for tr in tracks:
-        boxes = sebb.detect_sebbs(tr, csebb)
-        events.extend(
-            sebb.threshold_events(boxes, thresholds, clip_id=tr.clip_id, default=args.threshold)
-        )
+    events = [event for _, kept in per_clip for event in kept]
     dataio.write_events(events, args.out)
     print(f"wrote {len(events)} events to {args.out}", file=sys.stderr)
     return 0

@@ -10,9 +10,8 @@ with a line-numbered error rather than silently accepting part of a file.
 from __future__ import annotations
 
 import io
-import os
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -72,9 +71,7 @@ def read_annotations(path) -> AnnotationSet:
     """Parse an event TSV into an AnnotationSet (durations left empty)."""
     lines = _read_lines(path)
     if not lines or lines[0] != EVENT_HEADER:
-        raise ParseError(
-            f"expected header {EVENT_HEADER!r}", path=path, line=1
-        )
+        raise ParseError(f"expected header {EVENT_HEADER!r}", path=path, line=1)
     events = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -201,14 +198,14 @@ def apply_class_map(events: Sequence[Event], mapping: Mapping[str, str]) -> list
     ]
 
 
-def read_scores(path) -> list[ScoreTrack]:
-    """Parse the frame-score CSV into one ScoreTrack per clip.
+def read_scores(path, each: Callable[[ScoreTrack], object] | None = None) -> list:
+    """Parse the frame-score CSV into one ScoreTrack per clip, or into ``each`` of each.
 
     Layout: a ``# hop_seconds=<v>`` comment line, a header
     ``clip_id,frame,<class...>``, then one row per (clip, frame) with the
     frames of each clip contiguous from 0. A clip's rows may come in
     several blocks as long as its frame numbers continue across them.
-    Tracks are returned in the order of each clip's first row.
+    Tracks come in the order of each clip's first row.
 
     The file is opened once. Its bytes are parsed in numpy passes when its
     scores are fixed decimals (``_score_table``); any other file is decoded
@@ -216,17 +213,24 @@ def read_scores(path) -> list[ScoreTrack]:
     tracks or the line-numbered error. A file without rows after its header
     is a ``ParseError`` at its last line. A handle that cannot seek (a pipe)
     is read whole first, so that it can be read again.
+
+    ``each`` gets each track as soon as its clip's rows are parsed, and the
+    list of its results is returned: a caller that keeps only these never
+    holds the score table. If the byte pass gives up part way, its results
+    are dropped and ``each`` runs again on the line reader's tracks, so it
+    may see a clip twice and must not depend on side effects.
     """
+    each = each or (lambda track: track)
     with open(path, "rb") as fh:
         if not fh.seekable():
             fh = io.BytesIO(fh.read())
-        tracks = _score_table(fh, path)
-        if tracks is None:
+        results = _score_table(fh, path, each)
+        if results is None:
             fh.seek(0)
             lines = iter(_read_lines(path, fh.read()))
             hop, class_names, n_read = _score_header(lines, path)
-            tracks = _score_lines(lines, n_read + 1, path, hop, class_names)
-    return tracks
+            results = [each(t) for t in _score_lines(lines, n_read + 1, path, hop, class_names)]
+    return results
 
 
 def _score_header(lines, path) -> tuple[float, tuple[str, ...], int]:
@@ -264,9 +268,10 @@ _BLOCK_BYTES = 1 << 19  # bytes of the file read and parsed per chunk
 _FRAME_DIGITS = 16  # a frame of more digits is left to the line reader
 
 
-def _score_table(fh, path) -> list[ScoreTrack] | None:
-    """Score CSV parsed from the bytes of the seekable handle ``fh`` in numpy
-    passes, one chunk of rows at a time.
+def _score_table(fh, path, each: Callable[[ScoreTrack], object]) -> list | None:
+    """``each`` of every track of the score CSV parsed from the bytes of the
+    seekable handle ``fh`` in numpy passes, one chunk of rows at a time; a
+    track goes to ``each`` once the chunk of its clip's last row is parsed.
 
     Returns None, for the line-by-line reader to raise the line-numbered
     error or to accept what this pass does not take, unless: the file is
@@ -280,7 +285,6 @@ def _score_table(fh, path) -> list[ScoreTrack] | None:
     are left to be checked as text. A file without rows is left to the
     line reader too, which knows the line to name in its error.
     """
-    size = fh.seek(0, os.SEEK_END)
     fh.seek(0)
     try:
         hop, class_names, _ = _score_header(_header_lines(fh), path)
@@ -288,22 +292,19 @@ def _score_table(fh, path) -> list[ScoreTrack] | None:
         return None
     k = len(class_names)
     buf = np.empty(_FRAME_DIGITS + _BLOCK_BYTES, np.uint8)
-    scores, n, clips, firsts = np.empty((0, k)), 0, [], []
+    results, seen, clip, rows_read = [], set(), None, []  # clip: that of the row before the chunk
     last_id, next_frame = b"", 0  # of the row before the chunk
     for chunk in _row_chunks(fh, buf):
         if chunk is None:
             return None
         starts, ends = chunk
-        if not len(scores):
+        if clip is None:
             # The layout of every row's K scores is that of the first row's last one.
             row = buf[starts[0] : ends[0]].tobytes()
             field = row[row.rfind(b",") + 1 :]
             point, width = field.find(b"."), len(field) + 1  # a field and its comma or LF
             if not (point >= 1 and 1 <= width - point - 2 <= 15 and width <= 20):
                 return None
-            # Allocated once, for as many rows of the shortest kind (an empty
-            # id, one frame digit, two commas, the scores) as the file holds.
-            scores = np.empty((max(1, size // (k * width + 3)), k))
             tails = sliding_window_view(buf, k * width)
             heads = sliding_window_view(buf, _FRAME_DIGITS + 1)
         at = ends + 1 - k * width  # where each row's scores start
@@ -328,27 +329,34 @@ def _score_table(fh, path) -> list[ScoreTrack] | None:
             and (frames[0] == 0 or buf[starts[0] : starts[0] + lens[0]].tobytes() == last_id)
         ):
             return None
-        for i in np.flatnonzero(frames == 0).tolist():
+        # A frame 0 ends the clip before it, whose track invariants are all checked.
+        zeros = np.flatnonzero(frames == 0).tolist()
+        head, *blocks = np.split(values, zeros)
+        if len(head):
+            rows_read.append(head)
+        for i, block in zip(zeros, blocks):
+            if clip is not None:
+                results.append(each(_track(rows_read, hop, class_names, clip)))
             try:
-                clips.append(buf[starts[i] : starts[i] + lens[i]].tobytes().decode("utf-8"))
+                clip = buf[starts[i] : starts[i] + lens[i]].tobytes().decode("utf-8")
             except UnicodeDecodeError:
                 return None
-            firsts.append(n + i)
+            if clip in seen or _splits(clip, ","):
+                return None
+            seen.add(clip)
+            rows_read = [block]
         last_id, next_frame = buf[starts[-1] : starts[-1] + lens[-1]].tobytes(), frames[-1] + 1
-        if n + len(values) > len(scores):  # a file that grew since its size was taken
-            return None
-        scores[n : n + len(values)] = values
-        n += len(values)
-    if not clips or len(set(clips)) != len(clips) or any(_splits(clip, ",") for clip in clips):
+    if clip is None:
         return None
-    scores.resize((n, k), refcheck=False)  # in place: no view of the table exists yet
-    # Every track invariant was checked above, chunk by chunk.
+    results.append(each(_track(rows_read, hop, class_names, clip)))
+    return results
+
+
+def _track(blocks: list[np.ndarray], hop: float, class_names, clip: str) -> ScoreTrack:
+    """The track of a clip's (frames, K) row blocks: a view of a lone block, else a copy."""
+    scores = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     scores.flags.writeable = False
-    bounds = firsts + [n]
-    return [
-        ScoreTrack._view(scores[start:stop].T, hop, class_names, clip)
-        for clip, start, stop in zip(clips, bounds, bounds[1:])
-    ]
+    return ScoreTrack._view(scores.T, hop, class_names, clip)
 
 
 def _header_lines(fh):
@@ -447,18 +455,15 @@ def _same_bytes(buf: np.ndarray, starts, refs, lens) -> bool:
 
 def _score_lines(body, first_line: int, path, hop: float, class_names) -> list[ScoreTrack]:
     """Score-CSV body parsed line by line, raising at the first bad line."""
-    rows: dict[str, list[tuple[int, list[float]]]] = {}
-    order: list[str] = []
+    rows: dict[str, list[list[float]]] = {}  # each clip's rows, in the order of its first
     i = first_line - 1  # the last line read, also when the body is empty
     for i, line in enumerate(body, start=first_line):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 2 + len(class_names):
-            raise ParseError(
-                f"expected {2 + len(class_names)} fields, got {len(parts)}",
-                path=path, line=i,
-            )
+            raise ParseError(f"expected {2 + len(class_names)} fields, got {len(parts)}",
+                             path=path, line=i)
         clip = parts[0]
         try:
             frame = int(parts[1])
@@ -467,31 +472,17 @@ def _score_lines(body, first_line: int, path, hop: float, class_names) -> list[S
         values = [_float(v, "score", path, i) for v in parts[2:]]
         for v in values:
             if not 0.0 <= v <= 1.0:
-                raise ScoreOutOfRangeError(
-                    f"score {v} out of [0,1]", path=path, line=i
-                )
-        if clip not in rows:
-            rows[clip] = []
-            order.append(clip)
-        expected = len(rows[clip])
+                raise ScoreOutOfRangeError(f"score {v} out of [0,1]", path=path, line=i)
+        expected = len(rows.setdefault(clip, []))
         if frame != expected:
             raise NonContiguousFramesError(
-                f"clip {clip!r}: expected frame {expected}, got {frame}",
-                path=path, line=i,
+                f"clip {clip!r}: expected frame {expected}, got {frame}", path=path, line=i
             )
-        rows[clip].append((frame, values))
-    if not order:
+        rows[clip].append(values)
+    if not rows:
         raise ParseError("no score rows after the header", path=path, line=i)
-
-    tracks = []
-    for clip in order:
-        mat = np.array([v for _, v in rows[clip]], dtype=np.float64).T
-        tracks.append(
-            ScoreTrack(
-                scores=mat, hop_seconds=hop, class_names=class_names, clip_id=clip
-            )
-        )
-    return tracks
+    return [ScoreTrack(np.array(values, dtype=np.float64).T, hop, class_names, clip)
+            for clip, values in rows.items()]
 
 
 def write_scores(tracks: Sequence[ScoreTrack], path) -> None:
@@ -502,13 +493,10 @@ def write_scores(tracks: Sequence[ScoreTrack], path) -> None:
     """
     if not tracks:
         raise InvalidParameterError("need at least one track")
-    hop = tracks[0].hop_seconds
-    names = tracks[0].class_names
+    hop, names = tracks[0].hop_seconds, tracks[0].class_names
     for tr in tracks:
         if tr.hop_seconds != hop or tr.class_names != names:
-            raise InvalidParameterError(
-                "all tracks must share hop_seconds and class names"
-            )
+            raise InvalidParameterError("all tracks must share hop_seconds and class names")
     _refuse_split("clip id", [tr.clip_id for tr in tracks], ",")
     _refuse_split("class name", names, ",")
     with atomic_open(path) as fh:

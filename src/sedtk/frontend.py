@@ -48,15 +48,23 @@ class AudioClip:
     samples: np.ndarray
     sample_rate: int
 
-    def __post_init__(self):
+    def __post_init__(self, checked: bool = False):
         arr = np.asarray(self.samples, dtype=np.float32)
         if arr.ndim not in (1, 2):
             raise ConfigInvalidError(f"samples must be 1-D or 2-D, got ndim={arr.ndim}")
-        if not np.all(np.isfinite(arr)):
+        if not checked and not np.all(np.isfinite(arr)):
             raise ConfigInvalidError("samples contain NaN or Inf")
         if not self.sample_rate > 0:
             raise ConfigInvalidError(f"sample_rate must be > 0, got {self.sample_rate}")
         object.__setattr__(self, "samples", arr)
+
+    @classmethod
+    def _of_checked(cls, samples: np.ndarray, sample_rate: int) -> "AudioClip":
+        """Clip of samples finite by construction (decoded PCM), without the per-sample pass."""
+        clip = object.__new__(cls)
+        vars(clip).update(samples=samples, sample_rate=sample_rate)
+        clip.__post_init__(checked=True)
+        return clip
 
 
 @dataclass(frozen=True)
@@ -344,7 +352,8 @@ def read_wav(path) -> AudioClip:
         samples /= 2.0 ** (bits - 1)
     if n_channels > 1:
         samples = samples.reshape(-1, n_channels)
-    return AudioClip(samples=samples, sample_rate=int(rate))
+    clip = AudioClip if tag == _WAVE_FORMAT_IEEE_FLOAT else AudioClip._of_checked  # PCM is finite
+    return clip(samples, int(rate))
 
 
 def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:

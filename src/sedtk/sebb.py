@@ -305,7 +305,9 @@ def detect_sebbs(track: ScoreTrack, cfg: CsebbConfig) -> list[SEBB]:
     out = []
     cands = detect_candidates(track, cfg)
     for k, cname in enumerate(track.class_names):
-        out.extend(merge_gaps(cands[cname], track.scores[k], cfg, track.hop_seconds))
+        boxes = cands[cname]  # fewer than two boxes have no gap to merge
+        out.extend(merge_gaps(boxes, track.scores[k], cfg, track.hop_seconds)
+                   if len(boxes) > 1 else boxes)
     out.sort(key=lambda s: (s.onset_s, s.class_name))
     return out
 

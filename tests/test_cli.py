@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sedtk import dataio
 from sedtk.cli import _resolve, build_parser, run
 from sedtk.core import DomainTag, FeatureMap, make_batch, read_fmt, write_fmt
 from sedtk.dataio import write_durations, write_events, write_scores
@@ -738,6 +739,41 @@ class TestPostprocessAndTune:
             1: f"usage error: {per_class}:1: class 'cat' is not a class of {scores}",
             2: f"error: {scores}:2: no score rows after the header",
         }[code]
+
+    def test_a_bad_row_after_read_clips_outranks_a_thresholds_file_class(self, tmp_path, capsys):
+        # 200 clips fill more than one chunk of the byte pass, so their events are
+        # made before the bad row is read; the class check must still come second.
+        scores = tmp_path / "scores.csv"
+        rows = "".join(f"c{c},{t},0.100000,0.{t % 10}00000\n" for c in range(200) for t in range(120))
+        scores.write_text("# hop_seconds=0.02\nclip_id,frame,dog,bird\n" + rows
+                          + "c200,0,0.100000,0.2x0000\n")
+        assert scores.stat().st_size > dataio._BLOCK_BYTES
+        per_class = tmp_path / "thresholds.tsv"
+        per_class.write_text("cat\t0.3\n")
+        assert run(["postprocess", "--scores", str(scores), "--out", str(tmp_path / "ev.tsv"),
+                    "--thresholds-file", str(per_class)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {scores}:{3 + 200 * 120}: bad score: '0.2x0000'"
+        )
+
+    def test_events_do_not_depend_on_how_the_scores_are_read(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        tracks = [ScoreTrack(rng.uniform(size=(2, 300)) ** 4, 0.02, ("dog", "cat"), f"clip{i}")
+                  for i in range(6)]
+        scores = tmp_path / "scores.csv"
+        write_scores(tracks, scores)
+        text = scores.read_text()
+        # One score written a digit wider: the same values, off the byte pass's layout.
+        wider = tmp_path / "wider.csv"
+        wider.write_text(text[:-1] + "0\n")
+        argv = ["postprocess", "--threshold", "0.2", "--out"]
+        assert run(argv + [str(tmp_path / "whole.tsv"), "--scores", str(scores)]) == 0
+        assert run(argv + [str(tmp_path / "wider.tsv"), "--scores", str(wider)]) == 0
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 1000)  # every clip spans chunks
+        assert run(argv + [str(tmp_path / "chunks.tsv"), "--scores", str(scores)]) == 0
+        events = {name: (tmp_path / f"{name}.tsv").read_text() for name in ("whole", "wider", "chunks")}
+        assert len(events["whole"].splitlines()) > 6
+        assert events["wider"] == events["whole"] == events["chunks"]
 
     def test_tune_sebb_prints_config(self, tmp_path, capsys):
         scores = self._scores_fixture(tmp_path)

@@ -439,12 +439,37 @@ class TestScores:
         assert fast is not None, "the benchmark's scores left the byte path"
         assert _outcome(lambda _: fast, path) == _outcome(_line_reader, path)
 
-    def test_a_file_that_grew_while_read_goes_to_the_line_reader(self, tmp_path):
+    def test_a_caller_keeping_no_track_holds_a_chunk_not_the_table(self, benchmark_inputs):
+        path = benchmark_inputs["score"] / "scores.csv"
+        tracemalloc.start()
+        try:
+            got = read_scores(path, each=lambda track: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [None] * 300
+        assert peak < 4e6, f"reading {path.stat().st_size / 1e6:.1f} MB peaked at {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("last", ["c,4,0.1000", "a,4,0.100"])  # off the layout; a continued
+    def test_each_runs_again_on_the_line_readers_tracks(self, tmp_path, monkeypatch, last):
+        # 10-byte rows in 64-byte chunks: a and b end in the first two chunks,
+        # and the row that sends the file to the line reader is in the third.
+        rows = [f"{clip},{t},0.{t}00" for clip, n in [("a", 4), ("b", 4), ("c", 4)] for t in range(n)]
+        path = tmp_path / "s.csv"
+        path.write_text("# hop_seconds=0.5\nclip_id,frame,dog\n" + "\n".join(rows + [last]) + "\n")
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 64)
+        seen = []
+        got = read_scores(path, each=lambda track: seen.append(track.clip_id) or track.n_frames)
+        assert seen == ["a", "b", "a", "b", "c"]
+        assert got == [t.n_frames for t in _line_reader(path)] == [4 + (last[0] == "a"), 4, 4 + (last[0] == "c")]
+
+    def test_a_file_that_grew_while_read_gives_the_tracks_of_its_bytes(self, tmp_path):
         path = tmp_path / "s.csv"
         write_scores(self._tracks(), path)
-        assert _byte_pass(path) is not None
         with _ShortEnd(path.read_bytes()) as fh:  # sized for one row, then read whole
-            assert _score_table(fh, path) is None
+            grown = _score_table(fh, path, lambda track: track)
+        assert grown is not None
+        assert _outcome(lambda _: grown, path) == _outcome(_line_reader, path)
 
     @pytest.mark.parametrize("body, line", [("", 2), ("\n\n", 4), ("  \n\t\n", 4)])
     def test_a_file_without_rows_is_an_error_at_its_last_line(self, tmp_path, body, line):
@@ -461,7 +486,7 @@ class TestScores:
 
 def _byte_pass(path):
     with open(path, "rb") as fh:
-        return _score_table(fh, path)
+        return _score_table(fh, path, lambda track: track)
 
 
 class _ShortEnd(io.BytesIO):
@@ -732,6 +757,28 @@ def test_chunk_boundaries_leave_the_tracks_as_the_line_reader_reads_them(csv_pat
         assert _outcome(lambda _: fast, csv_path) == _outcome(_line_reader, csv_path)
     elif broken is None:  # only a row with its LF longer than a chunk leaves the byte path
         assert max(len(line) for line in data.split(b"\n")[2:]) >= block
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chunked_score_csv())
+def test_each_gives_what_it_gives_on_the_returned_tracks(csv_path, case):
+    # Clips span chunks; a split block or a wider field past the first chunk
+    # sends the file to the line reader after the byte pass handed on tracks.
+    data, _, block = case
+    csv_path.write_bytes(data)
+
+    def each(track):
+        return track.clip_id, track.n_frames, track.scores.tobytes(), track.scores.flags.writeable
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_BLOCK_BYTES", block)
+        try:
+            want = [each(t) for t in read_scores(csv_path)]
+        except ParseError as exc:  # a malformed file: the same error either way
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                read_scores(csv_path, each)
+        else:
+            assert read_scores(csv_path, each) == want
 
 
 def _write_scores_per_value(tracks, path):

@@ -400,11 +400,19 @@ class TestWavIO:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The file's bytes, the float32 samples and AudioClip's bool finite
-        # check (a quarter of the samples): no copy of the 1.76 MB data chunk
-        # and no second float array.
-        bound = size + 1.3 * clip.samples.nbytes
+        # The file's bytes and the float32 samples: no copy of the 1.76 MB data
+        # chunk, no second float array and no finiteness mask, as PCM is finite.
+        bound = size + 1.05 * clip.samples.nbytes
         assert peak < bound, f"read_wav peaked at {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f}"
+
+    def test_a_float_wav_holding_nan_is_refused(self, tmp_path):
+        path = tmp_path / "x.wav"
+        write_wav(path, AudioClip(_tone(440, 0.01), SR), "float32")
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<f", float("nan"))  # the last sample
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigInvalidError, match="NaN or Inf"):
+            read_wav(path)
 
     def test_rejects_non_wav(self, tmp_path):
         path = tmp_path / "x.wav"
