@@ -43,9 +43,10 @@ for i, m in enumerate(batch.maps):
     print(f"  item {i} ({batch.tags[i].name:7s}): "
           f"low bins {st.mu[:2].mean():+.2f}  high bins {st.mu[-2:].mean():+.2f}")
 
-print("\nreference batch = swap the domain blocks, then shuffle:")
-ref = make_reference_batch(batch, RandomSource(1), permutation=range(4))
-print("  tags with identity shuffle:", [t.name for t in ref.tags])
+print("\nreference order = swap the domain blocks, then shuffle:")
+order = make_reference_batch(batch, RandomSource(1), permutation=range(4))
+print("  order with identity shuffle:", order.tolist())
+print("  reference tags:", [batch.tags[i].name for i in order])
 
 cfg = MixStyleConfig(p=1.0, alpha=0.6)
 lam = np.array([0.9, 0.5, 0.5, 0.1])
@@ -53,10 +54,9 @@ out = freq_mixstyle(batch, cfg, RandomSource(2), lam=lam, permutation=range(4))
 
 print("\nmixing with pinned weights", lam.tolist())
 print("output per-bin mean vs predicted lam*own + (1-lam)*reference:")
-swapped = [2, 3, 0, 1]
 for i in range(4):
     own = freq_stats(batch.maps[i])
-    other = freq_stats(batch.maps[swapped[i]])
+    other = freq_stats(batch.maps[order[i]])
     predicted = lam[i] * own.mu + (1 - lam[i]) * other.mu
     got = freq_stats(out.maps[i]).mu
     print(f"  item {i}: max |got - predicted| = {np.abs(got - predicted).max():.2e}")

@@ -1,10 +1,11 @@
 """Frequency-wise feature-statistics mixing for domain generalization.
 
 A batch ordered as a DESED block followed by a MAESTRO block is paired with
-a reference batch built by swapping the two domain blocks and shuffling.
+itself in a reference order: the two domain blocks swapped, then shuffled.
 Each instance is normalized per frequency bin by its own statistics and
 re-denormalized with a convex mixture of its own and its reference
-instance's statistics; the mixture weight is a per-instance Beta draw.
+instance's statistics (taken once per instance and read by index, so no
+reference batch is built); the mixture weight is a per-instance Beta draw.
 Labels are never touched: only the feature values change.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .core import Batch, DomainTag, RandomSource, beta_sample
 from .errors import ConfigInvalidError, InvalidParameterError
-from .stats import bin_moments, centred_moments
+from .stats import bin_moments
 
 
 @dataclass(frozen=True)
@@ -48,27 +49,25 @@ def _domain_split(tags) -> int:
 
 def make_reference_batch(
     batch: Batch, rng: RandomSource, permutation=None
-) -> Batch:
-    """Build the reference batch: swap the two domain blocks, then shuffle.
+) -> np.ndarray:
+    """The reference order: swap the two domain blocks, then shuffle.
 
     The input must be ordered as a (possibly empty) DESED block followed by
-    a (possibly empty) MAESTRO block. The output is a permutation of the
-    input items; ``permutation`` overrides the random shuffle for testing.
+    a (possibly empty) MAESTRO block. Item ``i``'s reference is item
+    ``order[i]`` of the returned int array, a permutation of 0..N-1;
+    ``permutation`` (N integers) overrides the random shuffle for testing.
     """
-    tags = batch.tags
     n = len(batch)
-    split = _domain_split(tags)
+    split = _domain_split(batch.tags)
     swapped = np.r_[split:n, 0:split]
     if permutation is None:
         perm = rng.permutation(n)
     else:
         perm = np.asarray(permutation)
-        if sorted(perm.tolist()) != list(range(n)):
-            raise InvalidParameterError("permutation must reorder 0..N-1")
-    order = swapped[perm]
-    data = batch.data[order]
-    data.flags.writeable = False
-    return Batch._of_checked(data, [tags[i] for i in order])
+        # a boolean array would pass the sort check (True == 1) and act as a mask
+        if perm.dtype.kind not in "iu" or sorted(perm.tolist()) != list(range(n)):
+            raise InvalidParameterError("permutation must reorder 0..N-1 as integers")
+    return swapped[perm]
 
 
 def freq_mixstyle(
@@ -98,22 +97,25 @@ def freq_mixstyle(
     if not applied:
         return batch
     n = len(batch)
-    ref = make_reference_batch(batch, rng, permutation=permutation)
+    order = make_reference_batch(batch, rng, permutation=permutation)
     if lam is None:
         lam_vec = beta_sample(rng, cfg.alpha, size=n)
     else:
-        lam_vec = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,))
-        if np.any(lam_vec < 0) or np.any(lam_vec > 1):
+        try:
+            lam_vec = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,))
+        except ValueError:
+            raise InvalidParameterError(f"lambda must be a scalar or N={n} values") from None
+        if not np.all((lam_vec >= 0) & (lam_vec <= 1)):  # NaN fails both
             raise InvalidParameterError("lambda values must be in [0,1]")
 
-    # One item at a time in float64, so the scratch is one map, not the batch.
-    ref_moments = [bin_moments(r[None].astype(np.float64), (1, 3)) for r in ref.data]
-    del ref  # the reference copy is not alive beside the output
+    # One item at a time in float64, so the scratch is one map, not the batch;
+    # item i's reference moments are moments[order[i]].
+    moments = [bin_moments(item[None].astype(np.float64), (1, 3)) for item in batch.data]
     out = np.empty(batch.data.shape, dtype=np.float32)
-    for i, (w, (mu_r, var_r)) in enumerate(zip(lam_vec, ref_moments)):
-        x = batch.data[i : i + 1].astype(np.float64)
-        # in place: x becomes x - mu_x, then sd_mix * (x - mu_x) / (sd_x + eps) + mu_mix
-        mu_x, var_x, _ = centred_moments(x, (1, 3), out=x)  # (1, 1, F, 1)
+    for i, w in enumerate(lam_vec):
+        (mu_x, var_x), (mu_r, var_r) = moments[i], moments[order[i]]  # (1, 1, F, 1)
+        # x - mu_x in float64, then sd_mix * (x - mu_x) / (sd_x + eps) + mu_mix in place
+        x = np.subtract(batch.data[i : i + 1], mu_x)
         sd_x, sd_r = np.sqrt(var_x), np.sqrt(var_r)
         mu_mix = w * mu_x + (1.0 - w) * mu_r
         sd_mix = w * sd_x + (1.0 - w) * sd_r

@@ -377,12 +377,11 @@ def tune_csebb(
     row_hop = np.array([tr.hop_seconds for tr in tracks])[row_track]
     rows = [row for tr in tracks for row in tr.scores]
     n_frames = np.array([row.size for row in rows], dtype=np.intp)
-    # Rows of one length go through delta and boundaries in stacks of up to
-    # _ROW_BLOCK rows; a block holds its rows' ids, in order.
-    by_length = np.argsort(n_frames, kind="stable")
-    same_length = np.split(by_length, np.flatnonzero(np.diff(n_frames[by_length])) + 1)
-    blocks = [ids[i : i + _ROW_BLOCK]
-              for ids in same_length for i in range(0, ids.size, _ROW_BLOCK)]
+    # Consecutive rows of one length go through delta and boundaries in stacks
+    # of up to _ROW_BLOCK rows, so the marks come out in (row, frame) order.
+    cuts = (np.flatnonzero(np.diff(n_frames)) + 1).tolist()
+    starts = sorted({*range(0, len(rows), _ROW_BLOCK), *cuts})
+    blocks = list(zip(starts, starts[1:] + [len(rows)]))
 
     # Each stage runs once for the axes it depends on: peaks and troughs per
     # filter_len (the marks beyond the smallest boundary_threshold serve every
@@ -391,12 +390,10 @@ def tune_csebb(
     best: tuple[float, CsebbConfig] | None = None
     for fl in axes["filter_len"]:
         found = [(np.empty(0, np.intp),) * 3 + (np.empty(0),)]  # the marks of no rows
-        for ids in blocks:
-            row, *rest = _boundaries(delta_scores(np.stack([rows[r] for r in ids]), fl), floor)
-            found.append((ids[row], *rest))
+        for a, b in blocks:
+            row, *rest = _boundaries(delta_scores(np.stack(rows[a:b]), fl), floor)
+            found.append((row + a, *rest))
         marks = [np.concatenate(field) for field in zip(*found)]
-        order = np.argsort(marks[0], kind="stable")  # all rows in (row, frame) order
-        marks = [field[order] for field in marks]
         for bt in axes["boundary_threshold"]:
             spans = _candidate_spans(rows, marks, bt, n_frames)
             merged = _merge_spans(rows, spans, merges)

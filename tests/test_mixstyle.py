@@ -1,4 +1,4 @@
-"""Reference-batch construction and frequency-wise statistics mixing."""
+"""Reference order construction and frequency-wise statistics mixing."""
 
 import struct
 import tracemalloc
@@ -34,21 +34,17 @@ def _batch(n_desed, n_maestro, shape=(1, 6, 10), seed=0):
 class TestReferenceBatch:
     def test_swap_with_identity_shuffle(self):
         batch = _batch(2, 2)
-        ref = make_reference_batch(batch, RandomSource(0), permutation=range(4))
+        order = make_reference_batch(batch, RandomSource(0), permutation=range(4))
         # [d1, d2, m1, m2] -> [m1, m2, d1, d2]
-        expected = [batch.maps[i].data for i in (2, 3, 0, 1)]
-        for got, want in zip(ref.maps, expected):
-            np.testing.assert_array_equal(got.data, want)
-        assert ref.tags == (
+        assert order.dtype.kind == "i"
+        assert order.tolist() == [2, 3, 0, 1]
+        assert [batch.tags[i] for i in order] == [
             DomainTag.MAESTRO, DomainTag.MAESTRO, DomainTag.DESED, DomainTag.DESED,
-        )
+        ]
 
     def test_all_desed_is_permutation(self):
-        batch = _batch(4, 0)
-        ref = make_reference_batch(batch, RandomSource(1))
-        ids_in = sorted(m.data.tobytes() for m in batch.maps)
-        ids_out = sorted(m.data.tobytes() for m in ref.maps)
-        assert ids_in == ids_out
+        order = make_reference_batch(_batch(4, 0), RandomSource(1))
+        assert sorted(order.tolist()) == [0, 1, 2, 3]
 
     def test_multiset_preserved_over_random_batches(self):
         # Permutation-check oracle over 100 random batches.
@@ -57,14 +53,9 @@ class TestReferenceBatch:
             n_d = int(rng.integers(0, 4))
             n_m = int(rng.integers(0 if n_d else 1, 4))
             batch = _batch(n_d, n_m, shape=(1, 3, 4), seed=trial)
-            ref = make_reference_batch(batch, RandomSource(trial))
-            got = sorted(
-                (m.data.tobytes(), int(t)) for m, t in zip(ref.maps, ref.tags)
-            )
-            want = sorted(
-                (m.data.tobytes(), int(t)) for m, t in zip(batch.maps, batch.tags)
-            )
-            assert got == want
+            order = make_reference_batch(batch, RandomSource(trial))
+            assert order.dtype.kind == "i"
+            assert sorted(order.tolist()) == list(range(n_d + n_m))
 
     def test_rejects_interleaved_domains(self):
         batch = _batch(1, 1)
@@ -81,6 +72,15 @@ class TestReferenceBatch:
     def test_bad_permutation(self):
         with pytest.raises(InvalidParameterError):
             make_reference_batch(_batch(1, 1), RandomSource(0), permutation=[0, 0])
+
+    @pytest.mark.parametrize("perm", [[True, False], [1.0, 0.0]])
+    def test_non_integer_permutation_refused(self, perm):
+        # [True, False] sorts equal to [0, 1] but would act as a 1-item mask
+        batch = _batch(1, 1)
+        with pytest.raises(InvalidParameterError, match="permutation"):
+            make_reference_batch(batch, RandomSource(0), permutation=perm)
+        with pytest.raises(InvalidParameterError, match="permutation"):
+            freq_mixstyle(batch, MixStyleConfig(p=1.0), RandomSource(0), permutation=perm)
 
 
 class TestFreqMixstyle:
@@ -179,8 +179,18 @@ class TestFreqMixstyle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the output and one item's scratch; the reference copy is gone by then
+        # the output and one item's scratch; no reference copy is made
         assert peak < 1.5 * data.nbytes, f"peak {peak / data.nbytes:.2f}x the batch's bytes"
+
+    @pytest.mark.parametrize("lam", [float("nan"), [0.5, float("nan")], -0.1, [0.5, 1.5]])
+    def test_lambda_outside_unit_interval_refused(self, lam):
+        with pytest.raises(InvalidParameterError, match=r"lambda values must be in \[0,1\]"):
+            freq_mixstyle(_batch(1, 1), MixStyleConfig(p=1.0), RandomSource(0), lam=lam)
+
+    @pytest.mark.parametrize("lam", [[0.1, 0.2, 0.3], [[0.5, 0.5]]])
+    def test_lambda_of_wrong_length_refused(self, lam):
+        with pytest.raises(InvalidParameterError, match="N=2"):
+            freq_mixstyle(_batch(1, 1), MixStyleConfig(p=1.0), RandomSource(0), lam=lam)
 
     def test_config_validation(self):
         with pytest.raises(ConfigInvalidError):
@@ -209,15 +219,14 @@ def _make_reference_batch_per_map(batch, rng, permutation=None):
             break
     swapped = list(range(split, n)) + list(range(split))
     perm = rng.permutation(n) if permutation is None else np.asarray(permutation)
-    order = [swapped[p] for p in perm]
-    return [batch.maps[i] for i in order], [batch.tags[i] for i in order]
+    return [swapped[p] for p in perm]
 
 
 def _freq_mixstyle_per_map(batch, cfg, rng, lam=None, permutation=None):
     if not rng.bernoulli(cfg.p):
         return list(batch.maps), list(batch.tags)
     n = len(batch)
-    ref_maps, _ = _make_reference_batch_per_map(batch, rng, permutation=permutation)
+    ref_maps = [batch.maps[i] for i in _make_reference_batch_per_map(batch, rng, permutation)]
     if lam is None:
         lam_vec = beta_sample(rng, cfg.alpha, size=n)
     else:
@@ -281,12 +290,9 @@ def test_array_path_equals_per_map_reference(fmt_path, case):
     assert np.array_equal(out.data, _stack(want_maps))
     assert list(out.tags) == want_tags
 
-    ref = make_reference_batch(batch, RandomSource(seed), permutation=permutation)
-    ref_maps, ref_tags = _make_reference_batch_per_map(
-        batch, RandomSource(seed), permutation=permutation
-    )
-    assert np.array_equal(ref.data, _stack(ref_maps))
-    assert list(ref.tags) == ref_tags
+    order = make_reference_batch(batch, RandomSource(seed), permutation=permutation)
+    want_order = _make_reference_batch_per_map(batch, RandomSource(seed), permutation=permutation)
+    assert order.dtype.kind == "i" and order.tolist() == want_order
 
     write_fmt(out, fmt_path)
     written = fmt_path.read_bytes()
