@@ -8,7 +8,6 @@ Storage is float32; all reductions elsewhere accumulate in float64.
 from __future__ import annotations
 
 import os
-import secrets
 import shutil
 import struct
 from contextlib import contextmanager, suppress
@@ -231,7 +230,7 @@ def atomic_open(path, mode: str = "w"):
             yield fh
         return
     directory, name = os.path.split(target)
-    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, mode.replace("w", "x"), **text)
     except OSError as exc:  # name the file asked for, not the temporary one

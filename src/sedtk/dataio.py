@@ -265,7 +265,7 @@ def _score_header(lines, path) -> tuple[float, tuple[str, ...], int]:
 
 
 _BLOCK_BYTES = 1 << 19  # bytes of the file read and parsed per chunk
-_FRAME_DIGITS = 16  # a frame of more digits is left to the line reader
+_FRAME_DIGITS = 16  # a frame of this many digits or more is left to the line reader
 
 
 def _score_table(fh, path, each: Callable[[ScoreTrack], object]) -> list | None:
@@ -306,12 +306,11 @@ def _score_table(fh, path, each: Callable[[ScoreTrack], object]) -> list | None:
             if not (point >= 1 and 1 <= width - point - 2 <= 15 and width <= 20):
                 return None
             tails = sliding_window_view(buf, k * width)
-            heads = sliding_window_view(buf, _FRAME_DIGITS + 1)
         at = ends + 1 - k * width  # where each row's scores start
         if not (at - starts >= 3).all():
             return None
         values = _fixed_decimals(tails[at], k, point)
-        parsed = _frame_numbers(heads[at - 1 - _FRAME_DIGITS])
+        parsed = _frame_numbers(buf, at - 1)
         if values is None or parsed is None or not values.max() <= 1.0:
             return None
         frames, n_digits = parsed
@@ -397,48 +396,50 @@ def _fixed_decimals(tails: np.ndarray, k: int, point: int) -> np.ndarray | None:
 
     Each row holds K fields of one width: ``point`` digits, ".", one or
     more digits, then "," (LF after the last field). A value is its digits
-    read as one int64, divided once by 10**places. For a value below 2 at
-    up to 15 places, both are doubles exactly (the integer is below
-    2 * 10**15 < 2**53), so the one rounding of the division gives the
-    bits that ``float`` gives the text.
+    read as one integer (int32 up to 9 digits, else int64), divided once by
+    10**places. For a value below 2 at up to 15 places, both are doubles
+    exactly (the integer is below 2 * 10**15 < 2**53), so the one rounding
+    of the division gives the bits that ``float`` gives the text.
     """
     width = tails.shape[1] // k
-    lo, hi = np.full(width, ord("0"), np.uint8), np.full(width, ord("9"), np.uint8)
-    lo[point] = hi[point] = ord(".")
-    lo[-1] = hi[-1] = ord(",")
-    lo, hi = np.tile(lo, k), np.tile(hi, k)
-    lo[-1] = hi[-1] = ord("\n")
+    places = width - point - 2
+    lo, hi = (  # a row's bytes with every digit "0", then "9"
+        np.frombuffer((",".join([d * point + "." + d * places] * k) + "\n").encode(), np.uint8)
+        for d in "09"
+    )
     offsets = tails - lo  # a digit's value; a byte off the pattern wraps above hi - lo
     if not (offsets <= hi - lo).all():
         return None
-    places = offsets.reshape(-1, width).T.copy()  # one contiguous row per byte of a field
-    del offsets
-    mantissa = places[0].astype(np.int64)
+    columns = offsets.reshape(-1, width)  # one row per field
+    mantissa = columns[:, 0].astype(np.int32 if width - 2 <= 9 else np.int64)
     for j in [*range(1, point), *range(point + 1, width - 1)]:
         mantissa *= 10
-        mantissa += places[j]
-    return (mantissa / 10.0 ** (width - point - 2)).reshape(len(tails), k)
+        mantissa += columns[:, j]
+    return (mantissa / 10.0**places).reshape(len(tails), k)
 
 
-def _frame_numbers(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The frames and their digit counts in rows that end ``,<frame>,``, or None.
+def _frame_numbers(buf: np.ndarray, commas: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The frames and their digit counts of rows that hold ``,<frame>`` before
+    the comma at each of ``commas`` in ``buf``, or None.
 
-    Each row of ``heads`` is the _FRAME_DIGITS bytes before a row's first
-    score, then the comma before that score. The frame is the run of ASCII
-    digits that ends the row, and the byte before the run must be a comma.
+    The frame is the run of 1 to _FRAME_DIGITS - 1 ASCII digits before the
+    comma, scanned back a byte at a time for all rows at once until no
+    row's run goes on; the byte before the run must be a comma.
     """
-    digits = heads[:, :-1] - np.uint8(ord("0"))  # a byte below "0" wraps above 9
-    n_digits = np.argmin(digits[:, ::-1] <= 9, axis=1)  # 0 when every byte is a digit
-    if not (
-        n_digits.min() >= 1
-        and (heads[:, -1] == ord(",")).all()
-        and (heads[np.arange(len(heads)), _FRAME_DIGITS - 1 - n_digits] == ord(",")).all()
-    ):
+    going = buf[commas] == ord(",")  # a row without that comma reads no digit
+    frames = np.zeros(len(commas), dtype=np.int64)
+    n_digits = np.zeros(len(commas), dtype=np.int64)
+    for step in range(_FRAME_DIGITS):
+        digits = buf[commas - 1 - step] - np.uint8(ord("0"))  # a byte below "0" wraps above 9
+        going &= digits <= 9
+        if not going.any():
+            break
+        n_digits += going
+        frames += np.multiply(digits, going, dtype=np.int64) * 10**step
+    else:
+        return None  # a run of _FRAME_DIGITS digits
+    if not (n_digits.min() >= 1 and (buf[commas - 1 - n_digits] == ord(",")).all()):
         return None
-    frames = np.zeros(len(heads), dtype=np.int64)
-    for j in range(_FRAME_DIGITS - n_digits.max(), _FRAME_DIGITS):
-        frames *= 10
-        frames += np.where(j >= _FRAME_DIGITS - n_digits, digits[:, j], np.uint8(0))
     return frames, n_digits
 
 

@@ -60,14 +60,29 @@ def make_reference_batch(
     n = len(batch)
     split = _domain_split(batch.tags)
     swapped = np.r_[split:n, 0:split]
-    if permutation is None:
-        perm = rng.permutation(n)
-    else:
-        perm = np.asarray(permutation)
+    perm, _ = _pinned(n, permutation, None)
+    return swapped[rng.permutation(n) if perm is None else perm]
+
+
+def _pinned(n: int, permutation, lam) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``permutation`` and ``lam`` for N items as arrays, each None if not given.
+
+    A permutation must reorder 0..N-1 as integers, and ``lam`` must be a
+    scalar or N values in [0, 1]; anything else is an InvalidParameterError.
+    """
+    if permutation is not None:
+        permutation = np.asarray(permutation)
         # a boolean array would pass the sort check (True == 1) and act as a mask
-        if perm.dtype.kind not in "iu" or sorted(perm.tolist()) != list(range(n)):
+        if permutation.dtype.kind not in "iu" or sorted(permutation.tolist()) != list(range(n)):
             raise InvalidParameterError("permutation must reorder 0..N-1 as integers")
-    return swapped[perm]
+    if lam is not None:
+        try:
+            lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,))
+        except ValueError:
+            raise InvalidParameterError(f"lambda must be a scalar or N={n} values") from None
+        if not np.all((lam >= 0) & (lam <= 1)):  # NaN fails both
+            raise InvalidParameterError("lambda values must be in [0,1]")
+    return permutation, lam
 
 
 def freq_mixstyle(
@@ -90,23 +105,18 @@ def freq_mixstyle(
     lam_i are per-instance Beta(alpha, alpha) draws unless ``lam`` pins them
     (scalar or length-N array); ``permutation`` pins the reference shuffle.
     Domain tags are preserved from the input; shape is preserved. The input
-    must be ordered as ``make_reference_batch`` needs, whatever the draw.
+    must be ordered as ``make_reference_batch`` needs, and the pinned values
+    must be valid, whatever the draw.
     """
     _domain_split(batch.tags)
+    n = len(batch)
+    permutation, lam_vec = _pinned(n, permutation, lam)
     applied = rng.bernoulli(cfg.p)
     if not applied:
         return batch
-    n = len(batch)
     order = make_reference_batch(batch, rng, permutation=permutation)
-    if lam is None:
+    if lam_vec is None:
         lam_vec = beta_sample(rng, cfg.alpha, size=n)
-    else:
-        try:
-            lam_vec = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,))
-        except ValueError:
-            raise InvalidParameterError(f"lambda must be a scalar or N={n} values") from None
-        if not np.all((lam_vec >= 0) & (lam_vec <= 1)):  # NaN fails both
-            raise InvalidParameterError("lambda values must be in [0,1]")
 
     # One item at a time in float64, so the scratch is one map, not the batch;
     # item i's reference moments are moments[order[i]].

@@ -245,13 +245,14 @@ class TestScipyLoading:
     """``import sedtk`` loads numpy only; scipy comes in with the feature path alone."""
 
     # Imports sedtk, runs the command line it is given, and prints whether
-    # any scipy module is loaded, then whether numpy.ma is.
+    # any scipy module is loaded, then whether numpy.ma is, then whether
+    # OpenSSL's _hashlib is.
     _PROBE = (
         "import sys\n"
         "import sedtk, sedtk.cli\n"
         "if sys.argv[1:] and sedtk.cli.run(sys.argv[1:]) != 0:\n"
         "    sys.exit('the command failed')\n"
-        "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        "print('scipy' in sys.modules, 'numpy.ma' in sys.modules, '_hashlib' in sys.modules)\n"
     )
 
     def _argv(self, tmp_path, command, fmt_file):
@@ -281,17 +282,21 @@ class TestScipyLoading:
         }[command]
 
     # numpy.ma is checked only where scipy is not loaded (scipy imports it).
+    # _hashlib comes in only with numpy.random, which imports secrets:
+    # augment draws from it and scipy imports it.
     @pytest.mark.parametrize(
-        "command, loads_scipy",
-        [(None, False), ("postprocess", False), ("evaluate", False), ("tune-sebb", False),
-         ("stats", False), ("augment", False), ("features", True)],
+        "command, loads_scipy, loads_openssl",
+        [(None, False, False), ("postprocess", False, False), ("evaluate", False, False),
+         ("tune-sebb", False, False), ("stats", False, False), ("augment", False, True),
+         ("features", True, True)],
     )
-    def test_in_a_fresh_interpreter(self, tmp_path, fmt_file, command, loads_scipy):
+    def test_in_a_fresh_interpreter(self, tmp_path, fmt_file, command, loads_scipy,
+                                    loads_openssl):
         argv = [] if command is None else [str(a) for a in self._argv(tmp_path, command, fmt_file)]
         proc = _fresh_python("-c", self._PROBE, *argv)
         assert proc.returncode == 0, proc.stderr
-        scipy, numpy_ma = proc.stdout.splitlines()[-1].split()
-        assert scipy == str(loads_scipy)
+        scipy, numpy_ma, hashlib = proc.stdout.splitlines()[-1].split()
+        assert (scipy, hashlib) == (str(loads_scipy), str(loads_openssl))
         if not loads_scipy:
             assert numpy_ma == "False"
 

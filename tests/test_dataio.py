@@ -17,6 +17,7 @@ from sedtk import dataio
 from sedtk.core import DomainTag, FeatureMap, atomic_open, make_batch, write_fmt
 from sedtk.dataio import (
     _fixed_decimals,
+    _frame_numbers,
     _read_lines,
     _score_header,
     _score_lines,
@@ -689,18 +690,56 @@ def test_read_scores_matches_per_line_reader(csv_path, lines):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.integers(1, 15).flatmap(lambda n: st.tuples(
-        st.just(n), st.lists(st.integers(0, 2 * 10**n - 1), min_size=1, max_size=4)
+    st.tuples(st.integers(1, 3), st.integers(1, 15)).flatmap(lambda n: st.tuples(
+        st.just(n[0]), st.just(n[1]),
+        # below 2**53, where one division of the digits gives float's bits
+        st.lists(st.integers(0, min(10 ** sum(n), 2**53) - 1), min_size=1, max_size=4),
     ))
 )
-@example((15, [2 * 10**15 - 1, 10**15, 1, 0]))
-@example((1, [19, 10, 0]))
+@example((1, 15, [2 * 10**15 - 1, 10**15, 1, 0]))
+@example((1, 1, [19, 10, 0]))
+# 9 and 10 digits, where the digits are read as int32 and as int64
+@example((1, 8, [999_999_999, 10**8]))  # 9.99999999, 1.00000000
+@example((3, 6, [999_999_999]))
+@example((1, 9, [10**9, 9_999_999_999, 4_294_967_296]))  # 1.000000000, ..., 2**32
+@example((2, 8, [9_999_999_999]))
 def test_fixed_decimal_is_the_float_of_its_text(case):
-    places, mantissas = case
-    texts = [f"{m // 10**places}.{m % 10**places:0{places}d}" for m in mantissas]
+    point, places, mantissas = case
+    texts = [f"{m // 10**places:0{point}d}.{m % 10**places:0{places}d}" for m in mantissas]
     tails = np.frombuffer((",".join(texts) + "\n").encode(), dtype=np.uint8)[None, :]
-    got = _fixed_decimals(tails, len(texts), 1)
+    got = _fixed_decimals(tails, len(texts), point)
     assert np.array_equal(got.view(np.int64), np.array([[float(t) for t in texts]]).view(np.int64))
+
+
+def _frames_of(heads: list[bytes]):
+    """``_frame_numbers`` on rows ``<head>0.5``, each head ending at its score's comma."""
+    rows = b"".join(head + b"0.5\n" for head in heads)
+    buf = np.frombuffer(b"\n" * dataio._FRAME_DIGITS + rows, dtype=np.uint8)
+    ends = np.flatnonzero(buf[dataio._FRAME_DIGITS :] == ord("\n")) + dataio._FRAME_DIGITS
+    return _frame_numbers(buf, ends - len(b",0.5"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.text("ab", max_size=3), st.text("0123456789", min_size=1,
+                                                          max_size=dataio._FRAME_DIGITS - 1)),
+                min_size=1, max_size=6))
+@example([("a", "0"), ("", "9" * 15), ("b", "000000000000001")])
+def test_frame_numbers_are_the_int_of_their_digits(rows):
+    frames, n_digits = _frames_of([f"{clip},{frame},".encode() for clip, frame in rows])
+    assert frames.tolist() == [int(frame) for _, frame in rows]
+    assert n_digits.tolist() == [len(frame) for _, frame in rows]
+
+
+@pytest.mark.parametrize("head", [
+    b"a;12,",  # a byte other than a comma before the run
+    b"a,12;",  # a byte other than a comma after it
+    b"a,,",  # no frame
+    b"a," + b"1" * dataio._FRAME_DIGITS + b",",  # a run of _FRAME_DIGITS digits
+    b"12,",  # a run that reaches the LF before the row
+])
+def test_frame_numbers_refuse_a_row_without_comma_frame_comma(head):
+    assert _frames_of([head]) is None
+    assert _frames_of([b"a,3,", head, b"a,5,"]) is None
 
 
 _BREAKS = ["split block", "frame gap", "id change", "wider field", "CR", "no final LF"]

@@ -79,8 +79,9 @@ class TestReferenceBatch:
         batch = _batch(1, 1)
         with pytest.raises(InvalidParameterError, match="permutation"):
             make_reference_batch(batch, RandomSource(0), permutation=perm)
-        with pytest.raises(InvalidParameterError, match="permutation"):
-            freq_mixstyle(batch, MixStyleConfig(p=1.0), RandomSource(0), permutation=perm)
+        for p in (0.0, 1.0):  # refused whether or not the draw mixes
+            with pytest.raises(InvalidParameterError, match="permutation"):
+                freq_mixstyle(batch, MixStyleConfig(p=p), RandomSource(0), permutation=perm)
 
 
 class TestFreqMixstyle:
@@ -182,15 +183,32 @@ class TestFreqMixstyle:
         # the output and one item's scratch; no reference copy is made
         assert peak < 1.5 * data.nbytes, f"peak {peak / data.nbytes:.2f}x the batch's bytes"
 
+    @pytest.mark.parametrize("p", [0.0, 1.0])  # refused whether or not the draw mixes
     @pytest.mark.parametrize("lam", [float("nan"), [0.5, float("nan")], -0.1, [0.5, 1.5]])
-    def test_lambda_outside_unit_interval_refused(self, lam):
+    def test_lambda_outside_unit_interval_refused(self, lam, p):
         with pytest.raises(InvalidParameterError, match=r"lambda values must be in \[0,1\]"):
-            freq_mixstyle(_batch(1, 1), MixStyleConfig(p=1.0), RandomSource(0), lam=lam)
+            freq_mixstyle(_batch(1, 1), MixStyleConfig(p=p), RandomSource(0), lam=lam)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0])
     @pytest.mark.parametrize("lam", [[0.1, 0.2, 0.3], [[0.5, 0.5]]])
-    def test_lambda_of_wrong_length_refused(self, lam):
+    def test_lambda_of_wrong_length_refused(self, lam, p):
         with pytest.raises(InvalidParameterError, match="N=2"):
-            freq_mixstyle(_batch(1, 1), MixStyleConfig(p=1.0), RandomSource(0), lam=lam)
+            freq_mixstyle(_batch(1, 1), MixStyleConfig(p=p), RandomSource(0), lam=lam)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_nan_lambda_with_boolean_permutation_refused(self, p):
+        batch = Batch(np.ones((2, 1, 4, 5), np.float32), [DomainTag.DESED, DomainTag.MAESTRO])
+        with pytest.raises(InvalidParameterError):
+            freq_mixstyle(batch, MixStyleConfig(p=p), RandomSource(0),
+                          lam=float("nan"), permutation=[True, False])
+
+    def test_pinned_values_are_checked_without_a_draw(self):
+        # p = 0 returns the batch after its one Bernoulli draw, pinned values or not
+        batch, rng, fresh = _batch(1, 1), RandomSource(7), RandomSource(7)
+        out = freq_mixstyle(batch, MixStyleConfig(p=0.0), rng, lam=[0.2, 0.9], permutation=[1, 0])
+        assert out is batch
+        fresh.bernoulli(0.0)
+        assert rng.uniform() == fresh.uniform()
 
     def test_config_validation(self):
         with pytest.raises(ConfigInvalidError):
